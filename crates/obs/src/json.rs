@@ -316,11 +316,18 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so this is safe).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().expect("non-empty by match");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote or backslash at
+                // once. Both delimiters are ASCII, so the run of a valid
+                // UTF-8 input is valid UTF-8 too, and each byte is checked
+                // once: parsing stays linear in the input length.
+                let len = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .unwrap_or(bytes.len() - *pos);
+                let run =
+                    std::str::from_utf8(&bytes[*pos..*pos + len]).map_err(|e| e.to_string())?;
+                out.push_str(run);
+                *pos += len;
             }
         }
     }
@@ -406,6 +413,37 @@ mod tests {
             back.get("a").unwrap().as_arr().unwrap()[1].as_str(),
             Some("x\ty")
         );
+    }
+
+    /// Characters that exercise every string path: ASCII, 2-, 3- and
+    /// 4-byte UTF-8, control characters (escaped as `\uXXXX`), and every
+    /// character `write_string` escapes by name.
+    const ALPHABET: [char; 16] = [
+        'a', 'Z', ' ', 'é', '€', '中', '𝄞', '\u{0}', '\u{1f}', '\u{7f}', '"', '\\', '/', '\n',
+        '\r', '\t',
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn strings_round_trip_through_write_and_parse(
+            picks in proptest::collection::vec(0usize..ALPHABET.len(), 0..64)
+        ) {
+            let text: String = picks.iter().map(|&i| ALPHABET[i]).collect();
+            let doc = obj(vec![(text.as_str(), Json::Str(text.clone()))]);
+            let back = Json::parse(&doc.to_json()).map_err(proptest::TestCaseError::fail)?;
+            proptest::prop_assert_eq!(back, doc);
+        }
+    }
+
+    #[test]
+    fn parses_every_escape() {
+        let back = Json::parse(r#""\"\\\/\b\f\n\r\t\u00e9\u20ac.""#).expect("parses");
+        assert_eq!(back.as_str(), Some("\"\\/\u{8}\u{c}\n\r\té€."));
+        assert!(Json::parse(r#""\q""#).is_err());
+        assert!(Json::parse(r#""\u12""#).is_err());
+        assert!(Json::parse("\"open").is_err());
     }
 
     #[test]

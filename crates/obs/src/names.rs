@@ -160,6 +160,9 @@ pub const SURROGATE_TRAIN_PAIRS: &str = "surrogate/train_pairs";
 pub const SURROGATE_VAL_MAX_ERR: &str = "surrogate/val_max_err";
 pub const SURROGATE_VAL_RMS_ERR: &str = "surrogate/val_rms_err";
 
+// --- tensor kernels ------------------------------------------------------
+pub const TENSOR_GEMM_KERNEL: &str = "tensor/gemm_kernel";
+
 // --- bench harness -------------------------------------------------------
 pub const BENCH_SCENARIO_CACHE_HITS: &str = "bench/scenario_cache_hits";
 pub const BENCH_SCENARIO_CACHE_MISSES: &str = "bench/scenario_cache_misses";
@@ -517,6 +520,11 @@ pub const REGISTRY: &[MetricDef] = &[
         help: "last trained surrogate's held-out RMS current error",
     },
     MetricDef {
+        name: TENSOR_GEMM_KERNEL,
+        kind: MetricKind::Gauge,
+        help: "GEMM kernel this host runs for conv forward passes (0 scalar, 1 avx2, 2 avx512)",
+    },
+    MetricDef {
         name: BENCH_SCENARIO_CACHE_HITS,
         kind: MetricKind::Counter,
         help: "scenario trainings served from the disk cache",
@@ -619,6 +627,7 @@ mod tests {
             SIM_TILE_SOLVE_US,
             SIM_SOLVE_CACHE_HITS,
             MAP_CROSSBARS,
+            TENSOR_GEMM_KERNEL,
             BENCH_SCENARIO_CACHE_HITS,
             OBS_HISTOGRAM_SKIPPED,
             OBS_TRACE_SPANS_DROPPED,

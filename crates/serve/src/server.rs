@@ -382,6 +382,10 @@ impl Server {
         metrics::gauge_set(names::SERVE_REPAIRED_COLUMNS, meta.repaired_columns as f64);
         metrics::gauge_set(names::SERVE_MAX_FAULT_SCORE, meta.max_fault_score);
         metrics::gauge_set(names::SERVE_FIDELITY_TIER, cfg.default_tier.gauge_value());
+        metrics::gauge_set(
+            names::TENSOR_GEMM_KERNEL,
+            xbar_tensor::matmul::GemmKernel::detect().gauge_value(),
+        );
         if let Some(s) = &meta.surrogate {
             metrics::gauge_set(names::SERVE_SURROGATE_VAL_MAX_ERR, s.val_max_err);
             metrics::gauge_set(names::SERVE_SURROGATE_VAL_RMS_ERR, s.val_rms_err);

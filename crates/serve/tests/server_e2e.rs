@@ -1,7 +1,7 @@
 //! End-to-end server tests: map a tiny model to crossbars, persist it as
 //! an `XBARMDL1` artifact, serve it, and drive it over real sockets.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -29,6 +29,18 @@ fn tiny_model() -> Sequential {
     ])
 }
 
+/// A fresh directory for one artifact round-trip. Tests run on parallel
+/// threads, so each call gets its own directory (pid + tag + counter): a
+/// shared one let a test's cleanup delete another's artifact mid-save.
+fn unique_temp_dir(tag: &str) -> std::path::PathBuf {
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!(
+        "xbar_serve_e2e_{}_{tag}_{call}",
+        std::process::id()
+    ))
+}
+
 /// Maps the tiny model and returns (mapped model, meta) via a real
 /// artifact file round-trip, exactly like production serving.
 fn mapped_via_artifact(tag: &str) -> (Sequential, ArtifactMeta) {
@@ -42,7 +54,7 @@ fn mapped_via_artifact(tag: &str) -> (Sequential, ArtifactMeta) {
     let (mut noisy, report) = map_to_crossbars(&model, &cfg).expect("mapping succeeds");
     let mut meta = ArtifactMeta::from_mapping("e2e tiny model", &cfg, &report);
     meta.input_shape = INPUT_SHAPE.to_vec();
-    let dir = std::env::temp_dir().join(format!("xbar_serve_e2e_{}_{tag}", std::process::id()));
+    let dir = unique_temp_dir(tag);
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("model.xbarmdl");
     save_artifact_to_file(&mut noisy, &meta, &path).expect("save artifact");
@@ -241,7 +253,7 @@ fn faulted_repaired_model_serves_degraded_but_alive() {
     assert!(meta.is_degraded(), "threshold 1e-9 must flag tiles");
 
     // Full artifact round-trip, like production.
-    let dir = std::env::temp_dir().join(format!("xbar_serve_e2e_{}_faulted", std::process::id()));
+    let dir = unique_temp_dir("faulted");
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("model.xbarmdl");
     save_artifact_to_file(&mut noisy, &meta, &path).expect("save artifact");
@@ -379,6 +391,15 @@ fn sampled_classify_requests_carry_joinable_trace_ids() {
     assert!(!samples.is_empty());
     assert!(text.contains("serve_request_us_classify_bucket"), "{text}");
     assert!(text.contains("serve_trace_sampled"), "{text}");
+    // The GEMM kernel this host dispatches to is on /metrics.
+    let kernel = samples
+        .iter()
+        .find(|s| s.name == "tensor_gemm_kernel")
+        .expect("tensor_gemm_kernel gauge");
+    assert_eq!(
+        kernel.value,
+        xbar_tensor::matmul::GemmKernel::detect().gauge_value()
+    );
 
     server
         .shutdown_handle()
@@ -473,7 +494,7 @@ fn tiered_bundle_via_artifact(tag: &str) -> ArtifactBundle {
         surrogate_model: Some(noisy),
         surrogate_net: Some(build_from_spec(&arch)),
     };
-    let dir = std::env::temp_dir().join(format!("xbar_serve_e2e_{}_{tag}", std::process::id()));
+    let dir = unique_temp_dir(tag);
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("model.xbarmdl");
     xbar_core::save_artifact_bundle_to_file(&mut bundle, &path).expect("save bundle");
@@ -644,7 +665,7 @@ fn saved_artifact(tag: &str, label: &str) -> (std::path::PathBuf, String) {
     let (mut noisy, report) = map_to_crossbars(&model, &cfg).expect("mapping succeeds");
     let mut meta = ArtifactMeta::from_mapping(label, &cfg, &report);
     meta.input_shape = INPUT_SHAPE.to_vec();
-    let dir = std::env::temp_dir().join(format!("xbar_serve_e2e_{}_{tag}", std::process::id()));
+    let dir = unique_temp_dir(tag);
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("model.xbarmdl");
     save_artifact_to_file(&mut noisy, &meta, &path).expect("save artifact");

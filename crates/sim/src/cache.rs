@@ -88,6 +88,37 @@ struct Store {
     held_f64s: usize,
 }
 
+impl Store {
+    fn new() -> Store {
+        Store {
+            entries: HashMap::new(),
+            order: VecDeque::new(),
+            held_f64s: 0,
+        }
+    }
+
+    /// Stores `solve` under `key` unless it is already present, evicting
+    /// the oldest entries (FIFO) until the charged volume fits the bound.
+    /// An entry larger than the whole bound is not stored.
+    fn insert(&mut self, key: u128, solve: CachedSolve) {
+        let size = entry_f64s(&solve.nodes);
+        if size > MAX_CACHED_F64S || self.entries.contains_key(&key) {
+            return;
+        }
+        while self.held_f64s + size > MAX_CACHED_F64S {
+            let Some(oldest) = self.order.pop_front() else {
+                break;
+            };
+            if let Some(evicted) = self.entries.remove(&oldest) {
+                self.held_f64s -= entry_f64s(&evicted.nodes);
+            }
+        }
+        self.held_f64s += size;
+        self.order.push_back(key);
+        self.entries.insert(key, solve);
+    }
+}
+
 /// A memoised array solve: the node voltages of the cold solve that
 /// populated the entry, and whether that solve needed the extended-sweep
 /// fallback (so a replay reports the same outcome).
@@ -215,38 +246,10 @@ pub(crate) fn lookup(key: u128) -> Option<CachedSolve> {
 }
 
 pub(crate) fn insert(key: u128, nodes: NodeVoltages, fallback: bool) {
-    let size = entry_f64s(&nodes);
-    if size > MAX_CACHED_F64S {
-        return;
-    }
     let mut guard = STORE.lock().unwrap_or_else(|e| e.into_inner());
-    let store = guard.get_or_insert_with(|| Store {
-        entries: HashMap::new(),
-        order: VecDeque::new(),
-        held_f64s: 0,
-    });
-    if store.entries.contains_key(&key) {
-        return;
-    }
-    while store.held_f64s + size > MAX_CACHED_F64S {
-        let Some(oldest) = store.order.pop_front() else {
-            break;
-        };
-        if let Some(evicted) = store.entries.remove(&oldest) {
-            store.held_f64s -= entry_f64s(&evicted.nodes);
-        }
-    }
-    store.held_f64s += size;
-    store.order.push_back(key);
-    store.entries.insert(key, CachedSolve { nodes, fallback });
-}
-
-/// Charged cache volume in f64-equivalents (payload + per-entry overhead);
-/// test hook for the eviction bound.
-#[cfg(test)]
-fn solve_cache_held_f64s() -> usize {
-    let guard = STORE.lock().unwrap_or_else(|e| e.into_inner());
-    guard.as_ref().map_or(0, |s| s.held_f64s)
+    guard
+        .get_or_insert_with(Store::new)
+        .insert(key, CachedSolve { nodes, fallback });
 }
 
 #[cfg(test)]
@@ -302,40 +305,54 @@ mod tests {
 
     #[test]
     fn eviction_keeps_volume_bounded() {
-        clear_solve_cache();
-        let nodes = |k: u64, len: usize| NodeVoltages {
-            vr: vec![k as f64; len],
-            vc: vec![k as f64; len],
-            stats: Default::default(),
+        // A private store: the process-global one is shared with every
+        // other test in this binary, so exact counts on it would race.
+        let solve = |k: u64, len: usize| CachedSolve {
+            nodes: NodeVoltages {
+                vr: vec![k as f64; len],
+                vc: vec![k as f64; len],
+                stats: Default::default(),
+            },
+            fallback: false,
         };
         // Exactly-half-payload entries: with the per-entry overhead charged,
         // two of them exceed the budget — the original accounting (payload
         // only) would have kept both and quietly overshot the bound.
+        let mut store = Store::new();
         for k in 0..5u64 {
-            insert(u128::from(k), nodes(k, MAX_CACHED_F64S / 4), false);
+            store.insert(u128::from(k), solve(k, MAX_CACHED_F64S / 4));
         }
         assert_eq!(
-            solve_cache_len(),
+            store.entries.len(),
             1,
             "overhead must count against the bound"
         );
-        assert!(lookup(0).is_none(), "oldest entries must be evicted");
-        assert!(lookup(4).is_some());
-        assert!(solve_cache_held_f64s() <= MAX_CACHED_F64S);
+        assert!(
+            !store.entries.contains_key(&0),
+            "oldest entries must be evicted"
+        );
+        assert!(store.entries.contains_key(&4));
+        assert!(store.held_f64s <= MAX_CACHED_F64S);
         // Entries that leave room for the overhead: two fit at a time.
-        clear_solve_cache();
+        let mut store = Store::new();
         let len = MAX_CACHED_F64S / 4 - ENTRY_OVERHEAD_F64S;
         for k in 0..5u64 {
-            insert(u128::from(k), nodes(k, len), false);
+            store.insert(u128::from(k), solve(k, len));
         }
-        assert_eq!(solve_cache_len(), 2);
-        assert!(lookup(3).is_some() && lookup(4).is_some());
-        assert!(solve_cache_held_f64s() <= MAX_CACHED_F64S);
-        // Accounting stays exact through eviction churn: an empty cache
-        // holds zero charged volume again.
-        clear_solve_cache();
-        assert_eq!(solve_cache_len(), 0);
-        assert_eq!(solve_cache_held_f64s(), 0);
+        assert_eq!(store.entries.len(), 2);
+        assert!(store.entries.contains_key(&3) && store.entries.contains_key(&4));
+        assert!(store.held_f64s <= MAX_CACHED_F64S);
+        // Accounting stays exact through eviction churn: after two more
+        // evictions the store is charged for exactly its two entries.
+        for k in 5..7u64 {
+            store.insert(u128::from(k), solve(k, len));
+        }
+        assert_eq!(store.entries.len(), 2);
+        assert_eq!(store.held_f64s, 2 * (2 * len + ENTRY_OVERHEAD_F64S));
+        // An entry above the whole bound is refused outright.
+        store.insert(99, solve(99, MAX_CACHED_F64S));
+        assert!(!store.entries.contains_key(&99));
+        assert_eq!(store.entries.len(), 2);
     }
 
     #[test]

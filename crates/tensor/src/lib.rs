@@ -11,8 +11,9 @@
 //! * [`Tensor`] — an owned, row-major, contiguous `f32` tensor with shape
 //!   bookkeeping and checked reshaping;
 //! * element-wise and reduction operations ([`ops`]);
-//! * cache-blocked, optionally multi-threaded matrix multiplication
-//!   ([`matmul`]);
+//! * matrix multiplication ([`matmul`]), with a register-blocked SIMD
+//!   GEMM (AVX-512/AVX2, picked at run time) that is bit-identical to the
+//!   portable loop;
 //! * `im2col`/`col2im` convolution lowering ([`conv`]) used both by the DNN
 //!   library and by the crossbar mapping framework (convolutions are unrolled
 //!   into MAC operations exactly as the paper's Python wrapper does);
