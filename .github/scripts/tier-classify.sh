@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
-# Exercises the fidelity tiers of a running serve instance backed by a
-# tiered bundle: /v1/model must advertise all three tiers plus the embedded
-# surrogate's validation record, one classify per tier must succeed and
-# echo its tier, an unknown tier must be a 400, and each per-tier request
-# counter must move by exactly one. Run under with-serve.sh, which owns the
-# server lifecycle.
+# Exercises the fidelity tiers of a running serve instance backed by an
+# exact + ideal artifact (what `map` writes): /v1/model must advertise both
+# tiers, one classify per tier must succeed and echo its tier, an unknown
+# tier must be a 400, and each per-tier request counter must move by
+# exactly one. Run under with-serve.sh, which owns the server lifecycle.
 set -euo pipefail
 
 ADDR=${1:-127.0.0.1:7979}
@@ -12,7 +11,7 @@ ADDR=${1:-127.0.0.1:7979}
 python3 - "$ADDR" <<'EOF'
 import json, sys, urllib.error, urllib.request
 addr = sys.argv[1]
-TIERS = ("exact", "surrogate", "ideal")
+TIERS = ("exact", "ideal")
 
 def get(path):
     with urllib.request.urlopen(f"http://{addr}{path}", timeout=30) as resp:
@@ -21,10 +20,7 @@ def get(path):
 model = json.loads(get("/v1/model"))
 assert model["fidelity_tier"] == "exact", model
 assert model["available_tiers"] == list(TIERS), model
-assert model["surrogate_val_max_err"] > 0, model
-assert model["surrogate_val_rms_err"] > 0, model
-print("model ok: tiers", model["available_tiers"],
-      "val_max_err", model["surrogate_val_max_err"])
+print("model ok: tiers", model["available_tiers"])
 
 def tier_counters():
     out = {}

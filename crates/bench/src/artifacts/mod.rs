@@ -26,7 +26,6 @@ pub mod perfmap;
 pub mod profile;
 pub mod serveperf;
 pub mod solveperf;
-pub mod surrogate;
 pub mod tables;
 
 use crate::report::Table;
@@ -231,10 +230,6 @@ fn run_serve(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
     )
 }
 
-fn run_surrogate(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
-    surrogate::surrogate_accuracy(ctx, surrogate::SURROGATE_SIZE)
-}
-
 /// Every artifact the suite regenerates, in a stable order: the paper's
 /// tables and figures first, then the ablations and the extensions.
 pub fn registry() -> Vec<ArtifactSpec> {
@@ -413,13 +408,6 @@ pub fn registry() -> Vec<ArtifactSpec> {
             exclusive: true,
             run: run_serve,
             scenarios: no_scenarios,
-        },
-        ArtifactSpec {
-            name: "surrogate",
-            paper_ref: "surrogate fidelity & speedup (ours)",
-            exclusive: true,
-            run: run_surrogate,
-            scenarios: surrogate::surrogate_scenarios,
         },
         ArtifactSpec {
             name: "drift",

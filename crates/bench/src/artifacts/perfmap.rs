@@ -11,7 +11,7 @@ use crate::DatasetKind;
 use std::path::PathBuf;
 use std::time::Instant;
 use xbar_core::pipeline::{map_to_crossbars, MapConfig, MapReport};
-use xbar_core::{save_artifact_to_file, ArtifactMeta};
+use xbar_core::{save_artifact_bundle_to_file, ArtifactBundle, ArtifactMeta};
 use xbar_data::Split;
 use xbar_nn::train::{evaluate, DataRef};
 use xbar_nn::vgg::{VggConfig, VggVariant};
@@ -57,7 +57,7 @@ pub fn map_artifact_scenarios(ctx: &ArtifactCtx, opts: &MapArtifactOptions) -> V
 
 /// Trains (with disk cache) a scenario, maps it onto non-ideal crossbars,
 /// and persists the resulting `W'` network as an `XBARMDL1` artifact for
-/// `xbar-serve`.
+/// `xbar-serve`, with the trained software network as its `ideal` tier.
 pub fn map_artifact(
     ctx: &ArtifactCtx,
     opts: &MapArtifactOptions,
@@ -90,7 +90,12 @@ pub fn map_artifact(
     if let Some(dir) = artifact_path.parent() {
         std::fs::create_dir_all(dir).map_err(|e| format!("create artifact directory: {e}"))?;
     }
-    save_artifact_to_file(&mut noisy, &meta, &artifact_path)
+    let mut bundle = ArtifactBundle {
+        model: noisy,
+        meta,
+        ideal_model: Some(tm.model),
+    };
+    save_artifact_bundle_to_file(&mut bundle, &artifact_path)
         .map_err(|e| format!("write artifact: {e}"))?;
 
     let mut table = Table::new(

@@ -1,6 +1,6 @@
 //! Trains (with disk cache) a scenario, maps it onto non-ideal crossbars,
 //! and persists the resulting `W'` network as an `XBARMDL1` artifact for
-//! `xbar-serve`.
+//! `xbar-serve`, with the trained software network as its `ideal` tier.
 //!
 //! Thin CLI wrapper over [`xbar_bench::artifacts::perfmap::map_artifact`];
 //! the suite orchestrator runs the same code with the default options.

@@ -17,20 +17,22 @@
 //!                                          the model's full inference state
 //!                                          incl. BatchNorm statistics, see
 //!                                          xbar_nn::serialize)
-//! --- optional fidelity-tier payloads, each flagged in the meta ---
+//! --- optional fidelity-tier payload, flagged in the meta ---
 //! tensors ideal (software) model state      when meta "tiers"."ideal"
-//! tensors surrogate-folded W'' model state  when meta "tiers"."surrogate"
-//! tensors surrogate net parameters          when meta has "surrogate"
 //! ```
 //!
 //! Unlike a training checkpoint the artifact is self-contained: the JSON
 //! meta embeds the layer-by-layer [`LayerSpec`] so a server can rebuild the
 //! architecture without knowing the training scenario.
 //!
-//! The optional payloads extend the format backward-compatibly in both
+//! The optional payload extends the format backward-compatibly in both
 //! directions: a legacy artifact simply ends after the `W'` tensor block
-//! (the flags default to absent), and a legacy reader given a new artifact
-//! stops after the `W'` block and never sees the extras.
+//! (the flag defaults to absent), and a legacy reader given a new artifact
+//! stops after the `W'` block and never sees the extra.
+//!
+//! Files written by earlier versions that also carried a learned-surrogate
+//! tier (`"tiers":{"surrogate":true}` or a `"surrogate"` record) are refused
+//! with [`ArtifactError::SurrogateTierRemoved`] rather than half-read.
 
 use crate::pipeline::{MapConfig, MapReport};
 use std::fmt;
@@ -58,6 +60,9 @@ pub enum ArtifactError {
     /// declares (a corrupt or internally inconsistent file), or the model
     /// does not match a caller-supplied expectation.
     Mismatch(String),
+    /// The file carries the learned-surrogate tier, which this format no
+    /// longer supports; the model must be re-mapped with `map`.
+    SurrogateTierRemoved,
 }
 
 impl fmt::Display for ArtifactError {
@@ -68,6 +73,11 @@ impl fmt::Display for ArtifactError {
             ArtifactError::Mismatch(detail) => {
                 write!(f, "artifact does not fit its declared model: {detail}")
             }
+            ArtifactError::SurrogateTierRemoved => write!(
+                f,
+                "artifact carries the surrogate tier, which was removed; \
+                 re-map the model with `map` to get an exact (+ ideal) artifact"
+            ),
         }
     }
 }
@@ -97,111 +107,16 @@ impl From<TensorBlockError> for ArtifactError {
     }
 }
 
-/// Input feature count of an embedded surrogate net for a tile shape.
-///
-/// The feature layout is part of the artifact format, five aggregate
-/// blocks: normalized row voltages (`rows`), per-row ideal currents
-/// (`rows`), per-column conductance sums (`cols`), per-column
-/// depth-weighted ideal currents (`cols`, weighting each device by how far
-/// down the column wire its current enters), then the per-column ideal
-/// currents (`cols`) as the final block. These are the aggregates wire IR
-/// drop physically responds to; raw per-device conductances are deliberately
-/// excluded so surrogate evaluation stays an order of magnitude cheaper
-/// than the circuit solve it replaces. The `xbar-surrogate` crate encodes
-/// inputs with this layout and this function is the single source of truth
-/// for its width.
-pub fn surrogate_input_dim(rows: usize, cols: usize) -> usize {
-    2 * rows + 3 * cols
-}
-
-/// Provenance and held-out validation record of an embedded surrogate:
-/// which tile shape it emulates, its normalization constants, and how far
-/// its predicted column currents sat from the exact solver on held-out
-/// pairs. Persisted in (and restored from) the artifact meta so `/v1/model`
-/// can report the surrogate's error without re-validating.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SurrogateMeta {
-    /// Crossbar rows the surrogate was trained for.
-    pub rows: usize,
-    /// Crossbar columns the surrogate was trained for.
-    pub cols: usize,
-    /// Conductance floor used for input normalization (S).
-    pub g_min: f64,
-    /// Conductance ceiling used for input normalization (S).
-    pub g_max: f64,
-    /// Nominal read voltage used for input/target normalization (V).
-    pub v_read: f64,
-    /// Held-out max column-current error, as a fraction of the largest
-    /// exact current in the validation split.
-    pub val_max_err: f64,
-    /// Held-out RMS column-current error, same normalization.
-    pub val_rms_err: f64,
-    /// Training pairs generated from the exact solver.
-    pub train_pairs: usize,
-    /// Seed of pair generation and net initialisation.
-    pub seed: u64,
-    /// The surrogate net's architecture (rebuilt via `build_from_spec`).
-    pub arch: Vec<LayerSpec>,
-}
-
-impl SurrogateMeta {
-    fn from_json(j: &Json) -> Result<Self, String> {
-        let num = |name: &str| -> Result<f64, String> {
-            j.get(name)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("surrogate record missing number field {name:?}"))
-        };
-        Ok(SurrogateMeta {
-            rows: num("rows")? as usize,
-            cols: num("cols")? as usize,
-            g_min: num("g_min")?,
-            g_max: num("g_max")?,
-            v_read: num("v_read")?,
-            val_max_err: num("val_max_err")?,
-            val_rms_err: num("val_rms_err")?,
-            train_pairs: num("train_pairs")? as usize,
-            seed: num("seed")? as u64,
-            arch: spec_from_json(j.get("arch").ok_or("surrogate record missing \"arch\"")?)?,
-        })
-    }
-}
-
-/// Which optional tier payloads follow the `W'` tensor block.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct TierFlags {
-    ideal: bool,
-    surrogate_model: bool,
-}
-
 /// A full fidelity-tier artifact: the exact `W'` model plus the optional
-/// ideal (software) weights, the surrogate-folded `W''` weights, and the
-/// serialized surrogate net itself.
+/// ideal (software) weights.
 #[derive(Debug, Clone)]
 pub struct ArtifactBundle {
     /// The exact-solver-mapped `W'` network (always present).
     pub model: Sequential,
-    /// Mapping provenance, statistics, and the surrogate record.
+    /// Mapping provenance and statistics.
     pub meta: ArtifactMeta,
     /// The pre-mapping software network (the `ideal` serving tier).
     pub ideal_model: Option<Sequential>,
-    /// The surrogate-folded `W''` network (the `surrogate` serving tier).
-    pub surrogate_model: Option<Sequential>,
-    /// The surrogate net whose fold produced `surrogate_model`; its
-    /// architecture and validation errors live in `meta.surrogate`.
-    pub surrogate_net: Option<Sequential>,
-}
-
-impl ArtifactBundle {
-    /// Wraps a plain mapped model with no optional tier payloads.
-    pub fn exact_only(model: Sequential, meta: ArtifactMeta) -> Self {
-        Self {
-            model,
-            meta,
-            ideal_model: None,
-            surrogate_model: None,
-            surrogate_net: None,
-        }
-    }
 }
 
 /// Descriptive metadata persisted with (and restored from) an artifact.
@@ -250,11 +165,6 @@ pub struct ArtifactMeta {
     pub degraded_tiles: usize,
     /// Worst post-repair tile fault score.
     pub max_fault_score: f64,
-    /// Embedded-surrogate record (tile shape, normalization, held-out
-    /// validation error); `None` for artifacts without a surrogate.
-    pub surrogate: Option<SurrogateMeta>,
-    /// Test accuracy of the surrogate-folded `W''` model, if measured.
-    pub surrogate_accuracy: Option<f64>,
 }
 
 impl ArtifactMeta {
@@ -282,8 +192,6 @@ impl ArtifactMeta {
             corrected_cells: report.corrected_cells(),
             degraded_tiles: report.degraded_tiles(),
             max_fault_score: report.max_fault_score(),
-            surrogate: None,
-            surrogate_accuracy: None,
         }
     }
 
@@ -301,7 +209,7 @@ impl ArtifactMeta {
     /// JSON object used by the server's classify responses (a compact echo
     /// of the mapping provenance).
     pub fn summary_json(&self) -> Json {
-        let mut fields = vec![
+        Json::Obj(vec![
             ("label".into(), Json::Str(self.label.clone())),
             ("rows".into(), Json::Num(self.rows as f64)),
             ("cols".into(), Json::Num(self.cols as f64)),
@@ -324,24 +232,10 @@ impl ArtifactMeta {
                 "degraded_tiles".into(),
                 Json::Num(self.degraded_tiles as f64),
             ),
-        ];
-        if let Some(s) = &self.surrogate {
-            fields.push((
-                "surrogate".into(),
-                Json::Obj(vec![
-                    ("val_max_err".into(), Json::Num(s.val_max_err)),
-                    ("val_rms_err".into(), Json::Num(s.val_rms_err)),
-                    ("train_pairs".into(), Json::Num(s.train_pairs as f64)),
-                ]),
-            ));
-            if let Some(acc) = self.surrogate_accuracy {
-                fields.push(("surrogate_accuracy".into(), Json::Num(acc)));
-            }
-        }
-        Json::Obj(fields)
+        ])
     }
 
-    fn to_json(&self, spec: &[LayerSpec], tiers: TierFlags) -> Json {
+    fn to_json(&self, spec: &[LayerSpec], ideal_tier: bool) -> Json {
         let opt_num = |v: Option<f64>| v.map_or(Json::Null, Json::Num);
         let mut fields = vec![
             ("format".into(), Json::Str("XBARMDL1".into())),
@@ -396,42 +290,21 @@ impl ArtifactMeta {
             ),
             ("max_fault_score".into(), Json::Num(self.max_fault_score)),
         ];
-        // Tier payloads and the surrogate record are written only when
-        // present, so surrogate-free artifacts stay byte-compatible with
-        // what earlier writers produced.
-        if tiers != TierFlags::default() {
+        // The tier flag is written only when the ideal payload is present,
+        // so exact-only artifacts stay byte-compatible with what earlier
+        // writers produced.
+        if ideal_tier {
             fields.push((
                 "tiers".into(),
-                Json::Obj(vec![
-                    ("ideal".into(), Json::Bool(tiers.ideal)),
-                    ("surrogate".into(), Json::Bool(tiers.surrogate_model)),
-                ]),
+                Json::Obj(vec![("ideal".into(), Json::Bool(true))]),
             ));
-        }
-        if let Some(s) = &self.surrogate {
-            fields.push((
-                "surrogate".into(),
-                Json::Obj(vec![
-                    ("rows".into(), Json::Num(s.rows as f64)),
-                    ("cols".into(), Json::Num(s.cols as f64)),
-                    ("g_min".into(), Json::Num(s.g_min)),
-                    ("g_max".into(), Json::Num(s.g_max)),
-                    ("v_read".into(), Json::Num(s.v_read)),
-                    ("val_max_err".into(), Json::Num(s.val_max_err)),
-                    ("val_rms_err".into(), Json::Num(s.val_rms_err)),
-                    ("train_pairs".into(), Json::Num(s.train_pairs as f64)),
-                    ("seed".into(), Json::Num(s.seed as f64)),
-                    ("arch".into(), spec_to_json(&s.arch)),
-                ]),
-            ));
-        }
-        if let Some(acc) = self.surrogate_accuracy {
-            fields.push(("surrogate_accuracy".into(), Json::Num(acc)));
         }
         Json::Obj(fields)
     }
 
-    fn from_json(j: &Json) -> Result<(Self, Vec<LayerSpec>, TierFlags), String> {
+    /// Parses the meta, returning it with the architecture spec and whether
+    /// the ideal-tier block follows `W'`.
+    fn from_json(j: &Json) -> Result<(Self, Vec<LayerSpec>, bool), String> {
         let str_field = |name: &str| -> Result<String, String> {
             j.get(name)
                 .and_then(Json::as_str)
@@ -486,24 +359,26 @@ impl ArtifactMeta {
             corrected_cells: opt_usize("corrected_cells"),
             degraded_tiles: opt_usize("degraded_tiles"),
             max_fault_score: opt_f64("max_fault_score").unwrap_or(0.0),
-            // The surrogate record and tier flags are absent in artifacts
-            // written before fidelity tiers existed; default to "exact W'
-            // only".
-            surrogate: match j.get("surrogate") {
-                None | Some(Json::Null) => None,
-                Some(s) => Some(SurrogateMeta::from_json(s)?),
-            },
-            surrogate_accuracy: opt_f64("surrogate_accuracy"),
         };
-        let tiers = match j.get("tiers") {
-            None | Some(Json::Null) => TierFlags::default(),
-            Some(t) => TierFlags {
-                ideal: t.get("ideal").and_then(Json::as_bool).unwrap_or(false),
-                surrogate_model: t.get("surrogate").and_then(Json::as_bool).unwrap_or(false),
-            },
-        };
-        Ok((meta, spec, tiers))
+        // The tier flags are absent in artifacts written before fidelity
+        // tiers existed; default to "exact W' only".
+        let ideal_tier = tier_flag(j, "ideal");
+        Ok((meta, spec, ideal_tier))
     }
+}
+
+fn tier_flag(meta: &Json, tier: &str) -> bool {
+    meta.get("tiers")
+        .and_then(|t| t.get(tier))
+        .and_then(Json::as_bool)
+        .unwrap_or(false)
+}
+
+/// Whether a parsed meta belongs to a file written with the (since removed)
+/// learned-surrogate tier: its `W''` and net blocks follow `W'`, so reading
+/// only the known blocks would silently leave trailing data behind.
+fn carries_surrogate_tier(meta: &Json) -> bool {
+    tier_flag(meta, "surrogate") || !matches!(meta.get("surrogate"), None | Some(Json::Null))
 }
 
 /// Writes the mapped model (`W'` network) and its metadata to `writer`.
@@ -519,19 +394,18 @@ pub fn save_artifact<W: Write>(
     meta: &ArtifactMeta,
     mut writer: W,
 ) -> Result<(), ArtifactError> {
-    write_header(model, meta, TierFlags::default(), &mut writer)?;
+    write_header(model, meta, false, &mut writer)?;
     let tensors = model.state_tensors_mut();
     write_tensor_block(writer, tensors.iter().map(|t| &**t))?;
     Ok(())
 }
 
 /// Writes magic + meta (with `num_classes` derived from the final linear
-/// layer if left at zero), validating any surrogate record against the
-/// model's partition first.
+/// layer if left at zero).
 fn write_header<W: Write>(
     model: &Sequential,
     meta: &ArtifactMeta,
-    tiers: TierFlags,
+    ideal_tier: bool,
     writer: &mut W,
 ) -> Result<(), ArtifactError> {
     let spec = spec_of(model);
@@ -545,85 +419,34 @@ fn write_header<W: Write>(
             .map(|l| l.out_features())
             .unwrap_or(0);
     }
-    if let Some(s) = &meta.surrogate {
-        validate_surrogate_record(s, &meta)?;
-    }
-    let meta_bytes = meta.to_json(&spec, tiers).to_json().into_bytes();
+    let meta_bytes = meta.to_json(&spec, ideal_tier).to_json().into_bytes();
     writer.write_all(MAGIC)?;
     writer.write_all(&(meta_bytes.len() as u64).to_le_bytes())?;
     writer.write_all(&meta_bytes)?;
     Ok(())
 }
 
-/// Rejects a surrogate record whose tile shape or net geometry disagrees
-/// with the mapped model's partition — a surrogate trained for a different
-/// crossbar would silently serve wrong currents.
-fn validate_surrogate_record(s: &SurrogateMeta, meta: &ArtifactMeta) -> Result<(), ArtifactError> {
-    if (s.rows, s.cols) != (meta.rows, meta.cols) {
-        return Err(ArtifactError::Mismatch(format!(
-            "embedded surrogate was trained for {}×{} tiles but the model was \
-             partitioned onto {}×{} crossbars; retrain the surrogate for this \
-             tile shape",
-            s.rows, s.cols, meta.rows, meta.cols
-        )));
-    }
-    let in_dim = surrogate_input_dim(s.rows, s.cols);
-    let first_in = s.arch.iter().find_map(|l| match l {
-        LayerSpec::Linear { in_f, .. } => Some(*in_f),
-        _ => None,
-    });
-    let last_out = s.arch.iter().rev().find_map(|l| match l {
-        LayerSpec::Linear { out_f, .. } => Some(*out_f),
-        _ => None,
-    });
-    if first_in != Some(in_dim) || last_out != Some(s.cols) {
-        return Err(ArtifactError::Mismatch(format!(
-            "embedded surrogate net maps {:?} → {:?} features but {}×{} tiles \
-             need {} → {}; the surrogate block does not fit the declared tile \
-             shape",
-            first_in, last_out, s.rows, s.cols, in_dim, s.cols
-        )));
-    }
-    Ok(())
-}
-
-/// Writes a full fidelity-tier bundle: the `W'` model plus any optional
-/// ideal/surrogate payloads, each flagged in the meta so a reader knows
-/// which tensor blocks follow.
+/// Writes a full fidelity-tier bundle: the `W'` model plus the optional
+/// ideal payload, flagged in the meta so a reader knows whether a second
+/// tensor block follows.
 ///
 /// # Errors
 ///
-/// * [`ArtifactError::Io`] on write failure;
-/// * [`ArtifactError::Mismatch`] when the surrogate net is present without
-///   its meta record (or vice versa), or when the record disagrees with the
-///   mapped model's partition.
+/// Returns [`ArtifactError::Io`] on write failure.
 pub fn save_artifact_bundle<W: Write>(
     bundle: &mut ArtifactBundle,
     mut writer: W,
 ) -> Result<(), ArtifactError> {
-    if bundle.surrogate_net.is_some() != bundle.meta.surrogate.is_some() {
-        return Err(ArtifactError::Mismatch(
-            "bundle carries a surrogate net without its meta record (or a \
-             record without the net); both or neither must be present"
-                .into(),
-        ));
-    }
-    let tiers = TierFlags {
-        ideal: bundle.ideal_model.is_some(),
-        surrogate_model: bundle.surrogate_model.is_some(),
-    };
-    write_header(&bundle.model, &bundle.meta, tiers, &mut writer)?;
+    write_header(
+        &bundle.model,
+        &bundle.meta,
+        bundle.ideal_model.is_some(),
+        &mut writer,
+    )?;
     let tensors = bundle.model.state_tensors_mut();
     write_tensor_block(&mut writer, tensors.iter().map(|t| &**t))?;
-    for m in [&mut bundle.ideal_model, &mut bundle.surrogate_model]
-        .into_iter()
-        .flatten()
-    {
+    if let Some(m) = &mut bundle.ideal_model {
         let tensors = m.state_tensors_mut();
-        write_tensor_block(&mut writer, tensors.iter().map(|t| &**t))?;
-    }
-    if let Some(net) = &mut bundle.surrogate_net {
-        let tensors = net.state_tensors_mut();
         write_tensor_block(&mut writer, tensors.iter().map(|t| &**t))?;
     }
     Ok(())
@@ -638,19 +461,21 @@ pub fn save_artifact_bundle<W: Write>(
 /// * [`ArtifactError::Malformed`] for bad magic, truncation, or unparsable
 ///   metadata;
 /// * [`ArtifactError::Mismatch`] when the tensor block does not fit the
-///   declared architecture (names the offending tensor and sizes).
+///   declared architecture (names the offending tensor and sizes);
+/// * [`ArtifactError::SurrogateTierRemoved`] for a file carrying the removed
+///   surrogate tier.
 pub fn load_artifact<R: Read>(mut reader: R) -> Result<(Sequential, ArtifactMeta), ArtifactError> {
-    let (model, meta, _tiers) = read_header_and_model(&mut reader)?;
+    let (model, meta, _ideal_tier) = read_header_and_model(&mut reader)?;
     Ok((model, meta))
 }
 
 /// Shared front half of the two loaders: magic, meta, and the `W'` tensor
-/// block. Returns the tier flags so [`load_artifact_bundle`] knows which
-/// optional blocks follow; [`load_artifact`] ignores them, which is exactly
-/// how legacy readers stay compatible with bundle files.
+/// block. Returns the ideal-tier flag so [`load_artifact_bundle`] knows
+/// whether a second block follows; [`load_artifact`] ignores it, which is
+/// exactly how legacy readers stay compatible with bundle files.
 fn read_header_and_model<R: Read>(
     reader: &mut R,
-) -> Result<(Sequential, ArtifactMeta, TierFlags), ArtifactError> {
+) -> Result<(Sequential, ArtifactMeta, bool), ArtifactError> {
     let mut magic = [0u8; 8];
     read_exact_or_truncated(&mut *reader, &mut magic, || "reading magic".into())?;
     if &magic != MAGIC {
@@ -673,13 +498,14 @@ fn read_header_and_model<R: Read>(
         .map_err(|_| ArtifactError::Malformed("metadata is not UTF-8".into()))?;
     let json = Json::parse(&meta_text)
         .map_err(|e| ArtifactError::Malformed(format!("metadata JSON: {e}")))?;
-    let (meta, spec, tiers) = ArtifactMeta::from_json(&json).map_err(ArtifactError::Malformed)?;
-    if let Some(s) = &meta.surrogate {
-        validate_surrogate_record(s, &meta)?;
+    if carries_surrogate_tier(&json) {
+        return Err(ArtifactError::SurrogateTierRemoved);
     }
+    let (meta, spec, ideal_tier) =
+        ArtifactMeta::from_json(&json).map_err(ArtifactError::Malformed)?;
     let mut model = build_from_spec(&spec);
     read_block_into_model(&mut *reader, &mut model, "serving model")?;
-    Ok((model, meta, tiers))
+    Ok((model, meta, ideal_tier))
 }
 
 fn read_block_into_model<R: Read>(
@@ -698,42 +524,26 @@ fn read_block_into_model<R: Read>(
     })
 }
 
-/// Reads a full fidelity-tier bundle. Optional payloads are read only when
-/// the meta's tier flags / surrogate record say they are present, so legacy
-/// artifacts (no flags) load with every optional slot `None`.
+/// Reads a full fidelity-tier bundle. The ideal payload is read only when
+/// the meta's tier flag says it is present, so legacy artifacts (no flag)
+/// load with `ideal_model: None`.
 ///
 /// # Errors
 ///
 /// Same as [`load_artifact`], plus [`ArtifactError::Mismatch`] when the
-/// embedded surrogate record disagrees with the mapped model's partition
-/// or an optional tensor block does not fit its declared architecture.
+/// ideal tensor block does not fit its declared architecture.
 pub fn load_artifact_bundle<R: Read>(mut reader: R) -> Result<ArtifactBundle, ArtifactError> {
-    let (model, meta, tiers) = read_header_and_model(&mut reader)?;
-    let spec = spec_of(&model);
+    let (model, meta, ideal_tier) = read_header_and_model(&mut reader)?;
     let mut ideal_model = None;
-    if tiers.ideal {
-        let mut m = build_from_spec(&spec);
+    if ideal_tier {
+        let mut m = build_from_spec(&spec_of(&model));
         read_block_into_model(&mut reader, &mut m, "ideal-tier model")?;
         ideal_model = Some(m);
-    }
-    let mut surrogate_model = None;
-    if tiers.surrogate_model {
-        let mut m = build_from_spec(&spec);
-        read_block_into_model(&mut reader, &mut m, "surrogate-tier model")?;
-        surrogate_model = Some(m);
-    }
-    let mut surrogate_net = None;
-    if let Some(s) = &meta.surrogate {
-        let mut net = build_from_spec(&s.arch);
-        read_block_into_model(&mut reader, &mut net, "surrogate net")?;
-        surrogate_net = Some(net);
     }
     Ok(ArtifactBundle {
         model,
         meta,
         ideal_model,
-        surrogate_model,
-        surrogate_net,
     })
 }
 
@@ -843,6 +653,20 @@ mod tests {
         buf
     }
 
+    /// Rebuilds a saved artifact with its meta JSON rewritten by `patch`
+    /// (the length prefix follows the new meta).
+    fn with_meta(buf: &[u8], patch: impl FnOnce(&str) -> String) -> Vec<u8> {
+        let meta_len = u64::from_le_bytes(buf[8..16].try_into().unwrap()) as usize;
+        let text = std::str::from_utf8(&buf[16..16 + meta_len]).unwrap();
+        let patched = patch(text);
+        let mut out = Vec::new();
+        out.extend_from_slice(&buf[..8]);
+        out.extend_from_slice(&(patched.len() as u64).to_le_bytes());
+        out.extend_from_slice(patched.as_bytes());
+        out.extend_from_slice(&buf[16 + meta_len..]);
+        out
+    }
+
     #[test]
     fn round_trip_is_bit_identical_and_metadata_survives() {
         let (mut noisy, meta) = mapped();
@@ -908,18 +732,8 @@ mod tests {
         let buf = save_to_vec(&mut noisy, &meta);
         // Corrupt the declared architecture: claim the final linear is
         // wider than the stored tensors.
-        let text = String::from_utf8_lossy(&buf).into_owned();
-        let patched = text.replacen("\"out\":4", "\"out\":5", 1);
-        assert_ne!(text, patched, "meta should contain the linear spec");
-        // Rebuild the byte stream with the patched meta (length changed).
-        let meta_start = 16;
-        let old_meta_len = u64::from_le_bytes(buf[8..16].try_into().unwrap()) as usize;
-        let new_meta = &patched.as_bytes()[meta_start..meta_start + old_meta_len];
-        let mut out = Vec::new();
-        out.extend_from_slice(&buf[..8]);
-        out.extend_from_slice(&(new_meta.len() as u64).to_le_bytes());
-        out.extend_from_slice(new_meta);
-        out.extend_from_slice(&buf[meta_start + old_meta_len..]);
+        let out = with_meta(&buf, |m| m.replacen("\"out\":4", "\"out\":5", 1));
+        assert_ne!(out, buf, "meta should contain the linear spec");
         let err = load_artifact(out.as_slice()).unwrap_err();
         let msg = err.to_string();
         assert!(matches!(err, ArtifactError::Mismatch(_)), "{msg}");
@@ -932,94 +746,51 @@ mod tests {
         // no stuck_cells/…/max_fault_score keys; they must load with the
         // fields defaulted, not be rejected.
         let (mut noisy, meta) = mapped();
-        let mut buf = save_to_vec(&mut noisy, &meta);
-        let old_meta_len = u64::from_le_bytes(buf[8..16].try_into().unwrap()) as usize;
-        let text = String::from_utf8(buf[16..16 + old_meta_len].to_vec()).unwrap();
-        let stripped = text
-            .replacen(",\"stuck_cells\":0", "", 1)
-            .replacen(",\"repaired_columns\":0", "", 1)
-            .replacen(",\"corrected_cells\":0", "", 1)
-            .replacen(",\"degraded_tiles\":0", "", 1)
-            .replacen(",\"max_fault_score\":0", "", 1);
-        assert_ne!(stripped, text, "fields should have been present to strip");
-        let mut out = Vec::new();
-        out.extend_from_slice(&buf[..8]);
-        out.extend_from_slice(&(stripped.len() as u64).to_le_bytes());
-        out.extend_from_slice(stripped.as_bytes());
-        out.extend_from_slice(&buf[16 + old_meta_len..]);
-        buf = out;
-        let (_, loaded) = load_artifact(buf.as_slice()).unwrap();
+        let buf = save_to_vec(&mut noisy, &meta);
+        let stripped = with_meta(&buf, |m| {
+            m.replacen(",\"stuck_cells\":0", "", 1)
+                .replacen(",\"repaired_columns\":0", "", 1)
+                .replacen(",\"corrected_cells\":0", "", 1)
+                .replacen(",\"degraded_tiles\":0", "", 1)
+                .replacen(",\"max_fault_score\":0", "", 1)
+        });
+        assert_ne!(stripped, buf, "fields should have been present to strip");
+        let (_, loaded) = load_artifact(stripped.as_slice()).unwrap();
         assert_eq!(loaded.stuck_cells, 0);
         assert_eq!(loaded.degraded_tiles, 0);
         assert!(!loaded.is_degraded());
         assert_eq!(loaded.max_fault_score, 0.0);
     }
 
-    /// Surrogate record + freshly initialised net matching `mapped()`'s
-    /// 16×16 crossbars.
-    fn surrogate_parts(meta: &ArtifactMeta) -> (SurrogateMeta, Sequential) {
-        let in_dim = surrogate_input_dim(meta.rows, meta.cols);
-        let arch = vec![
-            LayerSpec::Linear {
-                in_f: in_dim,
-                out_f: 32,
-            },
-            LayerSpec::ReLU,
-            LayerSpec::Linear {
-                in_f: 32,
-                out_f: meta.cols,
-            },
-        ];
-        let net = build_from_spec(&arch);
-        let record = SurrogateMeta {
-            rows: meta.rows,
-            cols: meta.cols,
-            g_min: 1e-6,
-            g_max: 1e-4,
-            v_read: 0.25,
-            val_max_err: 0.011,
-            val_rms_err: 0.002,
-            train_pairs: 512,
-            seed: 7,
-            arch,
-        };
-        (record, net)
+    fn exact_and_ideal_bundle() -> ArtifactBundle {
+        let (model, mut meta) = mapped();
+        meta.num_classes = 4;
+        ArtifactBundle {
+            model,
+            meta,
+            ideal_model: Some(tiny_model()),
+        }
     }
 
     #[test]
     fn bundle_round_trip_is_byte_identical_and_legacy_reader_copes() {
-        let (noisy, mut meta) = mapped();
-        let (record, net) = surrogate_parts(&meta);
-        meta.surrogate = Some(record);
-        meta.surrogate_accuracy = Some(0.75);
-        let mut bundle = ArtifactBundle {
-            ideal_model: Some(tiny_model()),
-            surrogate_model: Some(noisy.clone()),
-            surrogate_net: Some(net),
-            model: noisy,
-            meta,
-        };
+        let mut bundle = exact_and_ideal_bundle();
         let mut buf = Vec::new();
         save_artifact_bundle(&mut bundle, &mut buf).unwrap();
 
         let mut loaded = load_artifact_bundle(buf.as_slice()).unwrap();
         assert!(loaded.ideal_model.is_some());
-        assert!(loaded.surrogate_model.is_some());
-        assert!(loaded.surrogate_net.is_some());
-        let s = loaded.meta.surrogate.as_ref().unwrap();
-        assert_eq!((s.rows, s.cols), (loaded.meta.rows, loaded.meta.cols));
-        assert_eq!(s.val_max_err, 0.011);
-        assert_eq!(loaded.meta.surrogate_accuracy, Some(0.75));
+        assert_eq!(loaded.meta, bundle.meta);
 
         // Byte-identical second save: the format round-trips exactly.
         let mut buf2 = Vec::new();
         save_artifact_bundle(&mut loaded, &mut buf2).unwrap();
         assert_eq!(buf, buf2, "save → load → save must be byte-identical");
 
-        // A legacy reader ignores the tier flags and the trailing blocks but
+        // A legacy reader ignores the tier flag and the trailing block but
         // still gets the exact-tier model and full meta.
         let (mut legacy_model, legacy_meta) = load_artifact(buf.as_slice()).unwrap();
-        assert!(legacy_meta.surrogate.is_some());
+        assert_eq!(legacy_meta, bundle.meta);
         let x = Tensor::from_fn(&[2, 1, 8, 8], |i| (i % 13) as f32 / 13.0);
         let want = bundle.model.forward(&x, Mode::Eval).unwrap();
         let got = legacy_model.forward(&x, Mode::Eval).unwrap();
@@ -1028,16 +799,7 @@ mod tests {
 
     #[test]
     fn mmap_bundle_load_matches_the_buffered_file_load() {
-        let (noisy, mut meta) = mapped();
-        let (record, net) = surrogate_parts(&meta);
-        meta.surrogate = Some(record);
-        let mut bundle = ArtifactBundle {
-            ideal_model: Some(tiny_model()),
-            surrogate_model: Some(noisy.clone()),
-            surrogate_net: Some(net),
-            model: noisy,
-            meta,
-        };
+        let mut bundle = exact_and_ideal_bundle();
         let dir = std::env::temp_dir().join(format!("xbar_artifact_mmap_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.xbarmdl");
@@ -1057,77 +819,67 @@ mod tests {
     }
 
     #[test]
-    fn legacy_artifact_without_surrogate_loads_as_exact_only_bundle() {
+    fn exact_only_artifact_loads_as_exact_only_bundle() {
         let (mut noisy, meta) = mapped();
         let buf = save_to_vec(&mut noisy, &meta);
+        assert!(!String::from_utf8_lossy(&buf).contains("\"tiers\""));
         let bundle = load_artifact_bundle(buf.as_slice()).unwrap();
-        assert!(bundle.meta.surrogate.is_none());
         assert!(bundle.ideal_model.is_none());
-        assert!(bundle.surrogate_model.is_none());
-        assert!(bundle.surrogate_net.is_none());
     }
 
     #[test]
-    fn surrogate_tile_shape_mismatch_rejected_on_save_and_load() {
-        let (noisy, mut meta) = mapped();
-        let (mut record, net) = surrogate_parts(&meta);
-
-        // Save-side: record claims 8×8 tiles, mapping used 16×16.
-        record.rows = 8;
-        record.cols = 8;
-        meta.surrogate = Some(record.clone());
-        let mut bundle = ArtifactBundle {
-            surrogate_net: Some(net),
-            model: noisy,
-            meta: meta.clone(),
-            ideal_model: None,
-            surrogate_model: None,
-        };
-        let err = save_artifact_bundle(&mut bundle, &mut Vec::new()).unwrap_err();
-        let msg = err.to_string();
-        assert!(matches!(err, ArtifactError::Mismatch(_)), "{msg}");
-        assert!(msg.contains("8×8") && msg.contains("16×16"), "{msg}");
-
-        // Load-side: hand-craft a header carrying the bad record, so a file
-        // from a buggy or hostile writer is rejected too.
-        let spec = spec_of(&bundle.model);
-        let meta_bytes = meta
-            .to_json(&spec, TierFlags::default())
-            .to_json()
-            .into_bytes();
+    fn legacy_surrogate_bundles_are_rejected_by_both_loaders() {
         let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&(meta_bytes.len() as u64).to_le_bytes());
-        buf.extend_from_slice(&meta_bytes);
-        let err = load_artifact(buf.as_slice()).unwrap_err();
-        let msg = err.to_string();
-        assert!(matches!(err, ArtifactError::Mismatch(_)), "{msg}");
-        assert!(msg.contains("partitioned onto"), "{msg}");
+        save_artifact_bundle(&mut exact_and_ideal_bundle(), &mut buf).unwrap();
+        let flagged = with_meta(&buf, |m| {
+            m.replacen(
+                "\"tiers\":{\"ideal\":true}",
+                "\"tiers\":{\"ideal\":true,\"surrogate\":true}",
+                1,
+            )
+        });
+        let recorded = with_meta(&buf, |m| {
+            format!(
+                "{},\"surrogate\":{{\"rows\":16,\"cols\":16}}}}",
+                &m[..m.len() - 1]
+            )
+        });
+        let dir = std::env::temp_dir().join(format!(
+            "xbar_artifact_legacy_surrogate_{}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        for (name, bytes) in [("flagged", &flagged), ("recorded", &recorded)] {
+            assert_ne!(bytes, &buf, "{name}: the meta patch must apply");
+            let err = load_artifact_bundle(bytes.as_slice()).unwrap_err();
+            assert!(
+                matches!(err, ArtifactError::SurrogateTierRemoved),
+                "{name}: {err}"
+            );
+            let msg = err.to_string();
+            assert!(msg.contains("removed") && msg.contains("`map`"), "{msg}");
+            let path = dir.join(format!("{name}.xbarmdl"));
+            std::fs::write(&path, bytes).unwrap();
+            let err = load_artifact_bundle_mmap(&path).unwrap_err();
+            assert!(
+                matches!(err, ArtifactError::SurrogateTierRemoved),
+                "{name} (mmap): {err}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
 
-        // Geometry-mismatched net (wrong input width for the tile shape).
-        let (mut record, net) = surrogate_parts(&bundle.meta);
-        record.arch[0] = LayerSpec::Linear { in_f: 3, out_f: 32 };
-        bundle.meta.surrogate = Some(record);
-        bundle.surrogate_net = Some(net);
-        let err = save_artifact_bundle(&mut bundle, &mut Vec::new()).unwrap_err();
-        assert!(err.to_string().contains("does not fit"), "{err}");
-    }
-
-    #[test]
-    fn surrogate_net_without_record_is_rejected() {
-        let (noisy, meta) = mapped();
-        let (_, net) = surrogate_parts(&meta);
-        let mut bundle = ArtifactBundle {
-            surrogate_net: Some(net),
-            model: noisy,
-            meta,
-            ideal_model: None,
-            surrogate_model: None,
-        };
-        let err = save_artifact_bundle(&mut bundle, &mut Vec::new()).unwrap_err();
-        let msg = err.to_string();
-        assert!(matches!(err, ArtifactError::Mismatch(_)), "{msg}");
-        assert!(msg.contains("both or neither"), "{msg}");
+        // Exact + ideal files from earlier writers spell out the absent tier
+        // as `false`; they still load.
+        let explicit_false = with_meta(&buf, |m| {
+            m.replacen(
+                "\"tiers\":{\"ideal\":true}",
+                "\"tiers\":{\"ideal\":true,\"surrogate\":false}",
+                1,
+            )
+        });
+        assert_ne!(explicit_false, buf);
+        let bundle = load_artifact_bundle(explicit_false.as_slice()).unwrap();
+        assert!(bundle.ideal_model.is_some());
     }
 
     #[test]

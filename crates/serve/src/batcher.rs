@@ -541,7 +541,6 @@ mod tests {
         // request routed to the wrong tier would produce the wrong scores.
         let models = TierModels {
             exact: tiny_model(),
-            surrogate: None,
             ideal: Some(Sequential::new(vec![
                 Layer::Conv2d(Conv2d::new(1, 4, 3, 1, 1, 21)),
                 Layer::ReLU(ReLU::new()),
@@ -604,18 +603,14 @@ mod tests {
         let queue = BatchQueue::new(4);
         let slot = ResponseSlot::new();
         queue
-            .submit(Pending::for_tier(
-                Tier::Surrogate,
-                image(0),
-                Arc::clone(&slot),
-            ))
+            .submit(Pending::for_tier(Tier::Ideal, image(0), Arc::clone(&slot)))
             .unwrap();
         queue.close();
         inference_loop(models, &[1, 8, 8], &queue, 4, Duration::from_millis(1));
         let err = slot
             .wait(Duration::from_secs(1))
             .expect("filled")
-            .expect_err("no surrogate model loaded");
+            .expect_err("no ideal model loaded");
         assert!(err.contains("no model loaded"), "{err}");
     }
 

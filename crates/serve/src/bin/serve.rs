@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! serve --artifact results/vgg11.xbarmdl [--addr 127.0.0.1:7878]
-//!       [--fidelity exact|surrogate|ideal] [--threads N]
+//!       [--fidelity exact|ideal] [--threads N]
 //!       [--replicas N] [--max-connections N] [--admission-limit N]
 //!       [--batch-size N] [--batch-deadline-ms N] [--queue-cap N]
 //!       [--timeout-ms N] [--trace-sample N] [--slow-ms N]
@@ -54,7 +54,7 @@ struct Args {
 
 fn usage() -> &'static str {
     "usage: serve --artifact <path.xbarmdl> [--addr HOST:PORT] [--threads N]\n\
-     \x20             [--fidelity exact|surrogate|ideal]\n\
+     \x20             [--fidelity exact|ideal]\n\
      \x20             [--replicas N] [--max-connections N] [--admission-limit N]\n\
      \x20             [--batch-size N]\n\
      \x20             [--batch-deadline-ms N] [--queue-cap N] [--timeout-ms N]\n\
@@ -212,12 +212,6 @@ fn main() -> ExitCode {
         tiers.join(", "),
         args.cfg.default_tier,
     );
-    if let Some(s) = &meta.surrogate {
-        eprintln!(
-            "embedded surrogate: {}x{} tiles, held-out max err {:.4}, rms err {:.4} ({} pairs)",
-            s.rows, s.cols, s.val_max_err, s.val_rms_err, s.train_pairs,
-        );
-    }
     if args.cfg.lifecycle.active() {
         eprintln!(
             "drift lifecycle: sweep interval {:?}, {} probes, tau [{:.0}, {:.0}] s{}",

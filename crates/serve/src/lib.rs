@@ -13,15 +13,14 @@
 //!   answered with the argmax class, softmax scores, the fidelity tier it
 //!   ran on, the micro-batch size the request rode in, and the mapping
 //!   provenance; an optional `"tier"` field picks the weight set
-//!   (`exact` / `surrogate` / `ideal`) per request — unknown tiers are
+//!   (`exact` / `ideal`) per request — unknown tiers are
 //!   answered `400`, tiers the artifact does not carry `409`, never a
 //!   silent fallback;
 //! * `GET /healthz` — liveness plus queue depth;
 //! * `GET /metrics` — the process-wide `xbar_obs` metrics registry in
 //!   Prometheus text format;
-//! * `GET /v1/model` — the artifact's mapping summary, the available and
-//!   default fidelity tiers, and the embedded surrogate's held-out
-//!   validation error when one is present;
+//! * `GET /v1/model` — the artifact's mapping summary and the available
+//!   and default fidelity tiers;
 //! * `POST /admin/shutdown` — CI-friendly graceful stop (SIGTERM and
 //!   SIGINT do the same);
 //! * `POST /admin/reload` — hot artifact swap through the versioned model

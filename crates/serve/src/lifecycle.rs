@@ -698,8 +698,6 @@ mod tests {
             corrected_cells: 0,
             degraded_tiles: 0,
             max_fault_score: 0.0,
-            surrogate: None,
-            surrogate_accuracy: None,
         }
     }
 

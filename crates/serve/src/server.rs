@@ -386,10 +386,6 @@ impl Server {
             names::TENSOR_GEMM_KERNEL,
             xbar_tensor::matmul::GemmKernel::detect().gauge_value(),
         );
-        if let Some(s) = &meta.surrogate {
-            metrics::gauge_set(names::SERVE_SURROGATE_VAL_MAX_ERR, s.val_max_err);
-            metrics::gauge_set(names::SERVE_SURROGATE_VAL_RMS_ERR, s.val_rms_err);
-        }
         Ok(Server {
             addr,
             shutdown,
@@ -641,12 +637,10 @@ fn healthz_json(ctx: &Ctx) -> Json {
 }
 
 /// The `/v1/model` body: the artifact's mapping summary extended with the
-/// serving-side fidelity-tier facts — the deployment's default tier, which
-/// tiers the artifact carries, and the embedded surrogate's held-out
-/// validation error when one is present.
+/// serving-side fidelity-tier facts — the deployment's default tier and
+/// which tiers the artifact carries.
 fn model_json(ctx: &Ctx) -> Json {
-    let meta = ctx.slot.meta();
-    let Json::Obj(mut fields) = meta.summary_json() else {
+    let Json::Obj(mut fields) = ctx.slot.meta().summary_json() else {
         unreachable!("summary_json always returns an object");
     };
     fields.push((
@@ -663,10 +657,6 @@ fn model_json(ctx: &Ctx) -> Json {
                 .collect(),
         ),
     ));
-    if let Some(s) = &meta.surrogate {
-        fields.push(("surrogate_val_max_err".into(), Json::Num(s.val_max_err)));
-        fields.push(("surrogate_val_rms_err".into(), Json::Num(s.val_rms_err)));
-    }
     fields.push(("model_version".into(), Json::Num(ctx.slot.version() as f64)));
     fields.extend(lifecycle_fields(ctx));
     Json::Obj(fields)
@@ -841,8 +831,7 @@ fn parse_tier(json: &Json, default: Tier) -> Result<Tier, String> {
         None | Some(Json::Null) => Ok(default),
         Some(Json::Str(name)) => Tier::parse(name),
         Some(other) => Err(format!(
-            "\"tier\" must be a string (\"exact\", \"surrogate\", \
-             \"ideal\"), got {}",
+            "\"tier\" must be a string (\"exact\" or \"ideal\"), got {}",
             other.to_json()
         )),
     }

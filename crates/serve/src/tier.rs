@@ -1,12 +1,11 @@
 //! Serving fidelity tiers.
 //!
-//! An `XBARMDL1` bundle can carry up to three weight sets for the same
-//! network: the exact-solver-mapped `W'` (always present), the
-//! surrogate-folded `W''`, and the pre-mapping software weights. Serving
-//! picks between them per deployment (`--fidelity`, [`crate::ServeConfig`])
-//! and per request (the `"tier"` classify field) — the tiers trade
-//! mapping-time cost for fidelity to the non-ideal hardware, not
-//! serving-time cost, so switching tiers is just switching weight sets.
+//! An `XBARMDL1` bundle carries the exact-solver-mapped `W'` (always
+//! present) and, optionally, the pre-mapping software weights of the same
+//! network. Serving picks between them per deployment (`--fidelity`,
+//! [`crate::ServeConfig`]) and per request (the `"tier"` classify field) —
+//! both cost the same to serve, so switching tiers is just switching
+//! weight sets: the ideal tier is an A/B control for the non-ideal one.
 
 use xbar_core::{ArtifactBundle, ArtifactMeta};
 use xbar_nn::Sequential;
@@ -17,25 +16,20 @@ pub enum Tier {
     /// The exact-solver-mapped `W'` model: every tile priced by a full
     /// circuit solve at mapping time. The fidelity reference.
     Exact,
-    /// The surrogate-folded `W''` model: tiles priced by the embedded
-    /// learned emulator instead of the circuit solver. Within the
-    /// surrogate's recorded held-out validation error of exact.
-    Surrogate,
     /// The pre-mapping software model — no non-ideality at all. The
     /// software-accuracy ceiling, useful as an A/B control.
     Ideal,
 }
 
 /// Every tier, in gauge-value order.
-pub const ALL_TIERS: [Tier; 3] = [Tier::Exact, Tier::Surrogate, Tier::Ideal];
+pub const ALL_TIERS: [Tier; 2] = [Tier::Exact, Tier::Ideal];
 
 impl Tier {
-    /// Stable low-cardinality label (`exact`, `surrogate`, `ideal`) used in
+    /// Stable low-cardinality label (`exact`, `ideal`) used in
     /// request JSON, responses, and metric names.
     pub fn as_str(self) -> &'static str {
         match self {
             Tier::Exact => "exact",
-            Tier::Surrogate => "surrogate",
             Tier::Ideal => "ideal",
         }
     }
@@ -48,20 +42,19 @@ impl Tier {
     pub fn parse(s: &str) -> Result<Tier, String> {
         match s {
             "exact" => Ok(Tier::Exact),
-            "surrogate" => Ok(Tier::Surrogate),
             "ideal" => Ok(Tier::Ideal),
             other => Err(format!(
                 "unknown fidelity tier {other:?}; valid tiers are \
-                 \"exact\", \"surrogate\", \"ideal\""
+                 \"exact\", \"ideal\""
             )),
         }
     }
 
-    /// Encoding for the `serve/fidelity_tier` gauge.
+    /// Encoding for the `serve/fidelity_tier` gauge. `1` is retired, so the
+    /// value of `ideal` keeps the meaning it has always had.
     pub fn gauge_value(self) -> f64 {
         match self {
             Tier::Exact => 0.0,
-            Tier::Surrogate => 1.0,
             Tier::Ideal => 2.0,
         }
     }
@@ -79,8 +72,6 @@ impl std::fmt::Display for Tier {
 pub struct TierModels {
     /// The `W'` model — every artifact has one.
     pub exact: Sequential,
-    /// The surrogate-folded `W''` model, when the artifact embeds one.
-    pub surrogate: Option<Sequential>,
     /// The pre-mapping software model, when the artifact embeds one.
     pub ideal: Option<Sequential>,
 }
@@ -90,20 +81,16 @@ impl TierModels {
     pub fn exact_only(model: Sequential) -> Self {
         TierModels {
             exact: model,
-            surrogate: None,
             ideal: None,
         }
     }
 
     /// Splits a loaded artifact bundle into the servable weight sets and
-    /// the metadata. The embedded surrogate *net* is mapping-time
-    /// provenance, not a serving model, and is dropped here — its
-    /// validation record stays in `meta.surrogate`.
+    /// the metadata.
     pub fn from_bundle(bundle: ArtifactBundle) -> (Self, ArtifactMeta) {
         (
             TierModels {
                 exact: bundle.model,
-                surrogate: bundle.surrogate_model,
                 ideal: bundle.ideal_model,
             },
             bundle.meta,
@@ -114,7 +101,6 @@ impl TierModels {
     pub fn has(&self, tier: Tier) -> bool {
         match tier {
             Tier::Exact => true,
-            Tier::Surrogate => self.surrogate.is_some(),
             Tier::Ideal => self.ideal.is_some(),
         }
     }
@@ -129,7 +115,6 @@ impl TierModels {
     pub fn model_mut(&mut self, tier: Tier) -> Option<&mut Sequential> {
         match tier {
             Tier::Exact => Some(&mut self.exact),
-            Tier::Surrogate => self.surrogate.as_mut(),
             Tier::Ideal => self.ideal.as_mut(),
         }
     }
@@ -153,18 +138,18 @@ mod tests {
         let err = Tier::parse("EXACT").unwrap_err();
         assert!(err.contains("valid tiers"), "{err}");
         assert!(err.contains("\"EXACT\""), "{err}");
+        assert_eq!(Tier::Ideal.gauge_value(), 2.0, "pinned gauge encoding");
     }
 
     #[test]
     fn availability_tracks_embedded_models() {
         let mut models = TierModels::exact_only(net(1));
         assert_eq!(models.available(), vec![Tier::Exact]);
-        assert!(!models.has(Tier::Surrogate));
+        assert!(!models.has(Tier::Ideal));
         assert!(models.model_mut(Tier::Ideal).is_none());
 
-        models.surrogate = Some(net(2));
-        models.ideal = Some(net(3));
+        models.ideal = Some(net(2));
         assert_eq!(models.available(), ALL_TIERS.to_vec());
-        assert!(models.model_mut(Tier::Surrogate).is_some());
+        assert!(models.model_mut(Tier::Ideal).is_some());
     }
 }

@@ -8,7 +8,6 @@ use std::time::Duration;
 
 use xbar_core::pipeline::{map_to_crossbars, MapConfig};
 use xbar_core::{load_artifact_from_file, save_artifact_to_file, ArtifactBundle, ArtifactMeta};
-use xbar_nn::arch::{build_from_spec, LayerSpec};
 use xbar_nn::layers::{Conv2d, Flatten, Linear, MaxPool2d, ReLU};
 use xbar_nn::{Layer, Mode, Sequential};
 use xbar_obs::json::Json;
@@ -452,9 +451,8 @@ fn full_batch_queue_is_backpressure_not_an_error() {
 }
 
 /// Builds a full fidelity-tier bundle around the tiny model: `W'` from a
-/// real mapping, the software weights as the ideal tier, a perturbed copy
-/// as the surrogate-folded tier, and an embedded surrogate net matching
-/// the mapped tile shape.
+/// real mapping plus the software weights as the ideal tier, round-tripped
+/// through an artifact file.
 fn tiered_bundle_via_artifact(tag: &str) -> ArtifactBundle {
     let software = tiny_model();
     let mut params = CrossbarParams::with_size(16);
@@ -466,33 +464,10 @@ fn tiered_bundle_via_artifact(tag: &str) -> ArtifactBundle {
     let (noisy, report) = map_to_crossbars(&software, &cfg).expect("mapping succeeds");
     let mut meta = ArtifactMeta::from_mapping("e2e tiered model", &cfg, &report);
     meta.input_shape = INPUT_SHAPE.to_vec();
-    let in_dim = xbar_core::artifact::surrogate_input_dim(16, 16);
-    let arch = vec![
-        LayerSpec::Linear {
-            in_f: in_dim,
-            out_f: 8,
-        },
-        LayerSpec::ReLU,
-        LayerSpec::Linear { in_f: 8, out_f: 16 },
-    ];
-    meta.surrogate = Some(xbar_core::SurrogateMeta {
-        rows: 16,
-        cols: 16,
-        g_min: 1e-6,
-        g_max: 1e-5,
-        v_read: 0.25,
-        val_max_err: 0.031,
-        val_rms_err: 0.004,
-        train_pairs: 256,
-        seed: 17,
-        arch: arch.clone(),
-    });
     let mut bundle = ArtifactBundle {
-        model: noisy.clone(),
+        model: noisy,
         meta,
         ideal_model: Some(software),
-        surrogate_model: Some(noisy),
-        surrogate_net: Some(build_from_spec(&arch)),
     };
     let dir = unique_temp_dir(tag);
     std::fs::create_dir_all(&dir).expect("temp dir");
@@ -511,8 +486,7 @@ fn fidelity_tiers_select_weight_sets_and_reject_bad_requests() {
     let addr = server.local_addr().to_string();
     let mut client = connect(&addr);
 
-    // /v1/model reports the tier inventory and the surrogate's recorded
-    // validation error.
+    // /v1/model reports the tier inventory.
     let info = client.get("/v1/model").expect("model");
     assert_eq!(info.status, 200);
     let info_json = Json::parse(&info.text()).expect("model JSON");
@@ -529,20 +503,7 @@ fn fidelity_tiers_select_weight_sets_and_reject_bad_requests() {
         .iter()
         .filter_map(Json::as_str)
         .collect();
-    assert_eq!(
-        tiers,
-        vec!["exact", "surrogate", "ideal"],
-        "{}",
-        info.text()
-    );
-    assert_eq!(
-        info_json
-            .get("surrogate_val_max_err")
-            .and_then(Json::as_f64),
-        Some(0.031),
-        "{}",
-        info.text()
-    );
+    assert_eq!(tiers, vec!["exact", "ideal"], "{}", info.text());
 
     // The ideal tier answers with the software model's class.
     let mut software = tiny_model();
@@ -571,35 +532,35 @@ fn fidelity_tiers_select_weight_sets_and_reject_bad_requests() {
         ideal.text()
     );
 
-    // Default (no "tier" field) runs exact; the surrogate tier answers too.
+    // Default (no "tier" field) runs exact.
     let exact = client
         .post_json("/v1/classify", &image_json(3))
         .expect("exact classify");
     assert_eq!(exact.status, 200, "{}", exact.text());
     let exact_json = Json::parse(&exact.text()).unwrap();
     assert_eq!(exact_json.get("tier").and_then(Json::as_str), Some("exact"));
-    let surrogate = client
-        .post_json(
-            "/v1/classify",
-            &image_json(3).replacen('{', "{\"tier\":\"surrogate\",", 1),
-        )
-        .expect("surrogate classify");
-    assert_eq!(surrogate.status, 200, "{}", surrogate.text());
 
-    // Unknown tier name: 400 naming the valid tiers.
-    let bad = client
-        .post_json(
-            "/v1/classify",
-            &image_json(3).replacen('{', "{\"tier\":\"turbo\",", 1),
-        )
-        .expect("bad tier");
-    assert_eq!(bad.status, 400, "{}", bad.text());
-    assert!(bad.text().contains("valid tiers"), "{}", bad.text());
+    // Unknown tier names, the removed surrogate tier among them: 400
+    // naming the valid tiers.
+    for tier in ["turbo", "surrogate"] {
+        let bad = client
+            .post_json(
+                "/v1/classify",
+                &image_json(3).replacen('{', &format!("{{\"tier\":\"{tier}\","), 1),
+            )
+            .expect("bad tier");
+        assert_eq!(bad.status, 400, "{tier}: {}", bad.text());
+        assert!(
+            bad.text().contains("valid tiers") && bad.text().contains(r#"\"exact\", \"ideal\""#),
+            "{tier}: {}",
+            bad.text()
+        );
+    }
 
     // Per-tier counters moved for every tier exercised.
     let metrics = client.get("/metrics").expect("metrics");
     let text = metrics.text();
-    for tier in ["exact", "surrogate", "ideal"] {
+    for tier in ["exact", "ideal"] {
         assert!(
             text.contains(&format!("serve_classify_tier_{tier}")),
             "missing per-tier counter for {tier}: {text}"
@@ -610,7 +571,6 @@ fn fidelity_tiers_select_weight_sets_and_reject_bad_requests() {
         );
     }
     assert!(text.contains("serve_fidelity_tier"), "{text}");
-    assert!(text.contains("serve_surrogate_val_max_err"), "{text}");
 
     server
         .shutdown_handle()
@@ -620,25 +580,19 @@ fn fidelity_tiers_select_weight_sets_and_reject_bad_requests() {
 
 #[test]
 fn requesting_a_tier_the_artifact_lacks_is_a_descriptive_conflict() {
-    // A legacy exact-only artifact: surrogate and ideal must be refused
-    // with 409 and a message naming what *is* available — never silently
-    // served from the wrong weights.
+    // An exact-only artifact: ideal must be refused with 409 and a message
+    // naming what *is* available — never silently served from the wrong
+    // weights.
     let (server, addr) = start_server(ServeConfig::default());
     let mut client = connect(&addr);
-    for tier in ["surrogate", "ideal"] {
-        let resp = client
-            .post_json(
-                "/v1/classify",
-                &image_json(1).replacen('{', &format!("{{\"tier\":\"{tier}\","), 1),
-            )
-            .expect("classify");
-        assert_eq!(resp.status, 409, "{tier}: {}", resp.text());
-        assert!(
-            resp.text().contains("available: exact"),
-            "{tier}: {}",
-            resp.text()
-        );
-    }
+    let resp = client
+        .post_json(
+            "/v1/classify",
+            &image_json(1).replacen('{', "{\"tier\":\"ideal\",", 1),
+        )
+        .expect("classify");
+    assert_eq!(resp.status, 409, "{}", resp.text());
+    assert!(resp.text().contains("available: exact"), "{}", resp.text());
     // The default tier still works on the same connection.
     let ok = client
         .post_json("/v1/classify", &image_json(1))
@@ -1151,12 +1105,12 @@ fn default_tier_must_exist_in_the_artifact() {
         TierModels::exact_only(model),
         meta,
         ServeConfig {
-            default_tier: Tier::Surrogate,
+            default_tier: Tier::Ideal,
             ..ServeConfig::default()
         },
     );
     match result {
-        Ok(_) => panic!("exact-only artifact cannot default to surrogate"),
+        Ok(_) => panic!("exact-only artifact cannot default to ideal"),
         Err(err) => assert!(
             err.to_string().contains("available: exact"),
             "descriptive startup error: {err}"
