@@ -28,7 +28,7 @@ use xbar_obs::json::Json;
 use xbar_serve::{Client, ServeConfig, Server, TierModels};
 use xbar_sim::params::CrossbarParams;
 
-/// Connection-fleet size the acceptance criterion is stated at.
+/// Connection-fleet size the serving gate is stated at.
 pub const SERVE_BENCH_CONNECTIONS: usize = 1024;
 /// Open-loop requests per connection.
 pub const SERVE_BENCH_REQUESTS: usize = 8;

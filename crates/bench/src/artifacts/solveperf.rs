@@ -17,9 +17,9 @@ use xbar_obs::json::Json;
 use xbar_sim::params::CrossbarParams;
 use xbar_sim::{ConductanceMatrix, NonIdealSolver, SolveMethod};
 
-/// Tile edge the acceptance criterion is stated at.
+/// Tile edge the speed-up floor is stated at.
 pub const SOLVE_BENCH_SIZE: usize = 64;
-/// Batch width the acceptance criterion is stated at.
+/// Batch width the speed-up floor is stated at.
 pub const SOLVE_BENCH_BATCH: usize = 32;
 /// Acceptance floor: batched cold throughput over the scalar oracle.
 pub const SOLVE_SPEEDUP_FLOOR: f64 = 5.0;

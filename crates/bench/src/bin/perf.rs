@@ -1,14 +1,14 @@
-//! Solver-performance benchmark: cold vs warm-started vs cached mapping.
+//! Solver-performance benchmark: cold vs cached mapping.
 //!
-//! Maps a width-scaled VGG11 onto non-ideal crossbars three ways — solve
-//! cache off (cold), cache replay (`CacheMode::Full`), and warm-started
-//! verification (`CacheMode::Seed`) — times each, checks the mapped weights
-//! are bit-identical across all of them, and writes the timings plus cache
+//! Maps a width-scaled VGG11 onto non-ideal crossbars twice — first from an
+//! empty solve cache (cold, every tile solved and stored), then again
+//! through the cache's hit path — times both, checks the re-map is
+//! bit-identical to the cold map, and writes the timings plus cache
 //! counters to `results/BENCH_map.json`.
 //!
 //! Thin CLI wrapper over [`xbar_bench::artifacts::perfmap::perf`]; the
-//! suite orchestrator runs the same code (serially — it toggles the global
-//! solve-cache mode and measures wall time).
+//! suite orchestrator runs the same code (serially — it times wall clock
+//! and clears the process-wide solve cache).
 //!
 //! Usage: `cargo run --release -p xbar-bench --bin perf --
 //! [--smoke|--quick|--full] [--seed N] [--size N] [--quiet]

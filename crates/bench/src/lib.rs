@@ -2,7 +2,7 @@
 //!
 //! Shared experiment machinery for regenerating every table and figure of
 //! the paper, used by the binaries in `src/bin/` (`table1`, `fig3`, `fig4`,
-//! `heatmaps`, `ablation`) and the criterion benches.
+//! `heatmaps`, `ablation`, `suite`, …).
 //!
 //! The harness trains width-scaled VGG models on the synthetic CIFAR-like
 //! datasets (see `xbar-data` and `DESIGN.md` for the substitution note),

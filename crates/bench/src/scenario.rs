@@ -74,7 +74,7 @@ impl ExperimentScale {
         }
     }
 
-    /// Tiny setting for tests and criterion benches.
+    /// Tiny setting for tests and CI smoke runs.
     pub fn smoke() -> Self {
         Self {
             width: 0.125,

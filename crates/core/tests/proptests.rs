@@ -10,20 +10,17 @@
 //!
 //! The solve cache promises invisibility: memoising tile circuit solves by
 //! content hash may only skip work, never change a single bit of the mapped
-//! weights — across variation seeds, circuit parameters and cache modes.
+//! weights or solver statistics — across variation seeds and circuit
+//! parameters.
 
 use proptest::prelude::*;
-use std::sync::Mutex;
 use xbar_core::pipeline::{map_to_crossbars, MapConfig};
 use xbar_core::repair::{map_tile_with_repair, RepairConfig};
 use xbar_sim::faults::FaultModel;
 use xbar_sim::params::CrossbarParams;
 use xbar_sim::solve::SolveMethod;
-use xbar_sim::{simulate_tile, CacheMode, MappingScale};
+use xbar_sim::{simulate_tile, MappingScale};
 use xbar_tensor::Tensor;
-
-/// Serialises tests that flip the process-global solve-cache mode.
-static CACHE_LOCK: Mutex<()> = Mutex::new(());
 
 fn weight_tile() -> impl Strategy<Value = Tensor> {
     (3usize..9, 3usize..7).prop_flat_map(|(rows, cols)| {
@@ -130,11 +127,15 @@ proptest! {
 
     /// The solve cache must be invisible: simulating random tiles under
     /// differing variation seeds and circuit parameters, with the cache
-    /// warm from *other* (seed, params) combinations, is bit-identical to
-    /// simulating with the cache off. A mis-keyed cache (one that ignored
-    /// the conductance content, the parasitics, or the voltage vector)
-    /// would hand a tile some other tile's solution and fail this within a
-    /// case or two.
+    /// warm from *other* (seed, params) combinations, is bit-identical —
+    /// weights and solver stats — to simulating each from an empty cache.
+    /// A mis-keyed cache (one that ignored the conductance content, the
+    /// parasitics, or the voltage vector) would hand a tile some other
+    /// tile's solution and fail this within a case or two.
+    ///
+    /// Other tests in this binary share the process-wide cache, but a
+    /// neighbour's insert or clear can only turn a hit into an identical
+    /// cold solve or vice versa, never change a result.
     #[test]
     fn solve_cache_is_keyed_correctly_across_seeds_and_params(
         tile in weight_tile(),
@@ -142,7 +143,6 @@ proptest! {
         seed_b in 200u64..400,
         wire_scale in 1u32..4,
     ) {
-        let _guard = CACHE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let mut params_a = CrossbarParams::with_size(8);
         params_a.sigma_variation = 0.05;
         let mut params_b = params_a;
@@ -151,35 +151,33 @@ proptest! {
             (seed_a, params_a), (seed_b, params_a),
             (seed_a, params_b), (seed_b, params_b),
         ];
-        let run_all = || -> Vec<Tensor> {
-            combos
-                .iter()
-                .map(|(seed, params)| {
-                    simulate_tile(
-                        &tile, MappingScale::PerTileMax, 1.0, params,
-                        SolveMethod::LineRelaxation, *seed,
-                    )
-                    .unwrap()
-                    .weights
-                })
-                .collect()
+        let sim = |(seed, params): &(u64, CrossbarParams)| {
+            let out = simulate_tile(
+                &tile, MappingScale::PerTileMax, 1.0, params,
+                SolveMethod::LineRelaxation, *seed,
+            )
+            .unwrap();
+            (out.weights, out.stats)
         };
-        xbar_sim::set_solve_cache_mode(CacheMode::Off);
-        let cold = run_all();
-        // Populate the cache with every combination, then replay: each
+        let cold: Vec<_> = combos
+            .iter()
+            .map(|combo| {
+                xbar_sim::clear_solve_cache();
+                sim(combo)
+            })
+            .collect();
+        // Empty cache → populate with every combination → replay: each
         // combination must hit its own entry, not a neighbour's.
-        xbar_sim::set_solve_cache_mode(CacheMode::Full);
         xbar_sim::clear_solve_cache();
-        let populate = run_all();
-        let replay = run_all();
-        xbar_sim::set_solve_cache_mode(CacheMode::Off);
+        let populate: Vec<_> = combos.iter().map(sim).collect();
+        let replay: Vec<_> = combos.iter().map(sim).collect();
         for (k, ((c, p), r)) in cold.iter().zip(&populate).zip(&replay).enumerate() {
             prop_assert_eq!(c, p, "combo {} differed while populating", k);
             prop_assert_eq!(c, r, "combo {} differed on cache replay", k);
         }
         // Different seeds genuinely produce different devices — the cache
         // had real discrimination work to do above.
-        prop_assert!(cold[0] != cold[1], "different seeds must differ");
+        prop_assert!(cold[0].0 != cold[1].0, "different seeds must differ");
     }
 }
 
@@ -209,12 +207,12 @@ fn layer_weights(model: &xbar_nn::Sequential) -> Vec<&Tensor> {
     out
 }
 
-/// The acceptance-criterion equivalence test: a full model mapping run with
-/// the solve cache in any mode — cold (`Off`), replayed (`Full`), or
-/// warm-started (`Seed`) — produces bit-identical mapped weights.
+/// Whole-model equivalence: mapping from an empty solve cache and then
+/// re-mapping through its hit path gives bit-identical mapped weights and
+/// an identical per-layer report (solver sweeps, residuals, NF, fallbacks,
+/// fault counts).
 #[test]
-fn mapping_is_bit_identical_across_cache_modes() {
-    let _guard = CACHE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+fn mapping_is_bit_identical_on_cache_replay() {
     let model = tiny_model(11);
     let mut params = CrossbarParams::with_size(16);
     params.sigma_variation = 0.05;
@@ -225,40 +223,18 @@ fn mapping_is_bit_identical_across_cache_modes() {
     };
     let run = || map_to_crossbars(&model, &cfg).unwrap();
 
-    xbar_sim::set_solve_cache_mode(CacheMode::Off);
-    let (cold, cold_report) = run();
-
-    xbar_sim::set_solve_cache_mode(CacheMode::Full);
     xbar_sim::clear_solve_cache();
-    let (populate, _) = run();
-    let (full_hit, full_report) = run();
-
-    xbar_sim::set_solve_cache_mode(CacheMode::Seed);
-    let (seed_hit, seed_report) = run();
-    xbar_sim::set_solve_cache_mode(CacheMode::Off);
+    let (cold, cold_report) = run();
+    let (replay, replay_report) = run();
 
     let reference = layer_weights(&cold);
-    for (name, mapped) in [
-        ("populate", &populate),
-        ("full-hit", &full_hit),
-        ("seed-hit", &seed_hit),
-    ] {
-        let weights = layer_weights(mapped);
-        assert_eq!(weights.len(), reference.len());
-        for (i, (a, b)) in reference.iter().zip(&weights).enumerate() {
-            assert_eq!(a, b, "{name}: layer weight {i} not bit-identical");
-        }
+    let weights = layer_weights(&replay);
+    assert_eq!(weights.len(), reference.len());
+    for (i, (a, b)) in reference.iter().zip(&weights).enumerate() {
+        assert_eq!(a, b, "layer weight {i} not bit-identical on replay");
     }
-    // Full replays the stored stats; Seed honestly reports ~1 verifying
-    // sweep per array and must therefore be cheaper than cold.
-    assert_eq!(
-        full_report.solver_iterations(),
-        cold_report.solver_iterations()
-    );
-    assert!(
-        seed_report.solver_iterations() < cold_report.solver_iterations(),
-        "warm-started mapping must do less solver work: {} vs {}",
-        seed_report.solver_iterations(),
-        cold_report.solver_iterations()
-    );
+    assert!(cold_report.solver_iterations() > 0);
+    // `Debug` prints every float in its shortest round-trip form, so equal
+    // renderings mean bit-equal reports.
+    assert_eq!(format!("{cold_report:?}"), format!("{replay_report:?}"));
 }

@@ -10,12 +10,13 @@
 //! voltages. This crate provides:
 //!
 //! * [`dense::LuDecomposition`] — LU with partial pivoting, the exact
-//!   reference solver used for small tiles and for validating the iterative
-//!   solvers;
-//! * [`sparse::CsrMatrix`] — compressed sparse row storage for the nodal
-//!   matrix of large tiles;
-//! * [`iterative`] — Jacobi, Gauss–Seidel, SOR and conjugate-gradient
-//!   solvers with residual-based stopping.
+//!   reference solver used for small tiles and for validating the line
+//!   relaxation solver of `xbar-sim`;
+//! * [`sparse::CooBuilder`] — conductance stamping into a
+//!   [`sparse::CsrMatrix`], the nodal-analysis assembly step ahead of the
+//!   dense exact solve;
+//! * [`tridiagonal`] — the Thomas algorithm behind each line-relaxation
+//!   sweep.
 //!
 //! All kernels are `f64`: conductances span three decades (`Gmin`..`Gmax`
 //! with wire conductances far larger), so `f32` loses the IR-drop signal.
@@ -35,7 +36,6 @@
 //! ```
 
 pub mod dense;
-pub mod iterative;
 pub mod norms;
 pub mod sparse;
 pub mod tridiagonal;
@@ -52,7 +52,8 @@ pub enum SolveError {
         /// Pivot index at which elimination broke down.
         pivot: usize,
     },
-    /// An iterative solver failed to reach the requested tolerance.
+    /// An iterative solve (the crossbar line relaxation) failed to reach
+    /// the requested tolerance.
     NoConvergence {
         /// Iterations performed before giving up.
         iterations: usize,
@@ -93,13 +94,13 @@ impl fmt::Display for SolveError {
 
 impl std::error::Error for SolveError {}
 
-/// Convergence statistics reported by the iterative solvers: how much work
-/// a solve took and how good the answer is, instead of discarding both.
+/// Convergence statistics of a circuit solve: how much work it took and how
+/// good the answer is, instead of discarding both.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolveStats {
-    /// Sweeps (SOR) or iterations (CG) performed.
+    /// Relaxation sweeps performed (1 for a direct solve).
     pub iterations: usize,
-    /// Relative `‖b − A·x‖∞ / ‖b‖∞` residual at exit.
+    /// Relative residual at exit (0 for a direct solve).
     pub residual: f64,
     /// Whether the tolerance target was met.
     pub converged: bool,

@@ -1,12 +1,11 @@
-//! Compressed sparse row (CSR) matrices.
+//! Conductance stamping into compressed sparse row (CSR) matrices.
 //!
 //! The nodal matrix of an `R×C` crossbar has `2·R·C` unknowns but at most
 //! four off-diagonal entries per row (wire neighbours plus the synapse
-//! partner node), so CSR storage plus an iterative solver handles `64×64`
-//! tiles (8192 unknowns) in milliseconds where a dense factorisation would
-//! need half a gigabyte.
+//! partner node). [`CooBuilder`] assembles it one two-terminal conductance
+//! at a time, the nodal-analysis "stamping" idiom; `xbar-sim`'s exact
+//! solver densifies the result for LU.
 
-use crate::{Result, SolveError};
 use std::collections::BTreeMap;
 
 /// Triplet-based builder for a [`CsrMatrix`]; duplicate entries accumulate,
@@ -92,11 +91,6 @@ impl CsrMatrix {
         self.n
     }
 
-    /// Number of stored (possibly zero) entries.
-    pub fn nnz(&self) -> usize {
-        self.values.len()
-    }
-
     /// Returns `(column_indices, values)` of row `r`.
     ///
     /// # Panics
@@ -105,55 +99,6 @@ impl CsrMatrix {
     pub fn row(&self, r: usize) -> (&[usize], &[f64]) {
         let span = self.row_ptr[r]..self.row_ptr[r + 1];
         (&self.col_idx[span.clone()], &self.values[span])
-    }
-
-    /// The diagonal entry of row `r`, or `0.0` if absent.
-    pub fn diagonal(&self, r: usize) -> f64 {
-        let (cols, vals) = self.row(r);
-        cols.iter()
-            .zip(vals)
-            .find(|(&c, _)| c == r)
-            .map(|(_, &v)| v)
-            .unwrap_or(0.0)
-    }
-
-    /// Sparse matrix–vector product `y = A·x`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolveError::Dimension`] if `x.len() != n`.
-    pub fn matvec(&self, x: &[f64]) -> Result<Vec<f64>> {
-        if x.len() != self.n {
-            return Err(SolveError::dim(format!(
-                "matvec: matrix is {}x{} but vector has {} entries",
-                self.n,
-                self.n,
-                x.len()
-            )));
-        }
-        Ok((0..self.n)
-            .map(|r| {
-                let (cols, vals) = self.row(r);
-                cols.iter().zip(vals).map(|(&c, &v)| v * x[c]).sum()
-            })
-            .collect())
-    }
-
-    /// Residual `b − A·x` (infinity norm).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolveError::Dimension`] on length mismatch.
-    pub fn residual_inf(&self, x: &[f64], b: &[f64]) -> Result<f64> {
-        if b.len() != self.n {
-            return Err(SolveError::dim("rhs length mismatch"));
-        }
-        let ax = self.matvec(x)?;
-        Ok(ax
-            .iter()
-            .zip(b)
-            .map(|(&a, &bb)| (bb - a).abs())
-            .fold(0.0, f64::max))
     }
 
     /// Converts to a dense matrix (tests and small-tile exact solves only).
@@ -166,25 +111,6 @@ impl CsrMatrix {
             }
         }
         d
-    }
-
-    /// Checks strict row diagonal dominance, a sufficient condition for
-    /// Gauss–Seidel convergence. Crossbar nodal matrices with a sense/driver
-    /// path on every node satisfy this.
-    pub fn is_diagonally_dominant(&self) -> bool {
-        (0..self.n).all(|r| {
-            let (cols, vals) = self.row(r);
-            let mut diag = 0.0;
-            let mut off = 0.0;
-            for (&c, &v) in cols.iter().zip(vals) {
-                if c == r {
-                    diag = v.abs();
-                } else {
-                    off += v.abs();
-                }
-            }
-            diag >= off
-        })
     }
 }
 
@@ -209,23 +135,19 @@ mod tests {
         let (cols, vals) = m.row(0);
         assert_eq!(cols, &[0, 1]);
         assert_eq!(vals, &[2.0, -0.5]);
-        assert_eq!(m.nnz(), 5);
+        assert_eq!(m.row(1), (&[0usize, 1][..], &[-1.0, 3.0][..]));
+        assert_eq!(m.row(2), (&[2usize][..], &[4.0][..]));
     }
 
     #[test]
-    fn matvec_matches_dense() {
-        let m = sample();
-        let x = [1.0, 2.0, 3.0];
-        let sparse = m.matvec(&x).unwrap();
-        let dense = m.to_dense().matvec(&x).unwrap();
-        assert_eq!(sparse, dense);
-    }
-
-    #[test]
-    fn diagonal_lookup() {
-        let m = sample();
-        assert_eq!(m.diagonal(0), 2.0);
-        assert_eq!(m.diagonal(2), 4.0);
+    fn to_dense_places_every_entry() {
+        let d = sample().to_dense();
+        let expect = [[2.0, -0.5, 0.0], [-1.0, 3.0, 0.0], [0.0, 0.0, 4.0]];
+        for (r, row) in expect.iter().enumerate() {
+            for (c, &v) in row.iter().enumerate() {
+                assert_eq!(d.at(r, c), v, "({r}, {c})");
+            }
+        }
     }
 
     #[test]
@@ -234,33 +156,8 @@ mod tests {
         b.stamp_conductance(Some(0), Some(1), 5.0);
         b.stamp_conductance(Some(1), None, 2.0);
         let m = b.build();
-        assert_eq!(m.diagonal(0), 5.0);
-        assert_eq!(m.diagonal(1), 7.0);
-        let (cols, vals) = m.row(0);
-        assert_eq!((cols, vals), (&[0usize, 1][..], &[5.0, -5.0][..]));
-        assert!(m.is_diagonally_dominant());
-    }
-
-    #[test]
-    fn dominance_detects_violation() {
-        let mut b = CooBuilder::new(2);
-        b.add(0, 0, 1.0);
-        b.add(0, 1, -5.0);
-        b.add(1, 1, 1.0);
-        assert!(!b.build().is_diagonally_dominant());
-    }
-
-    #[test]
-    fn matvec_length_checked() {
-        assert!(sample().matvec(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn residual_of_exact_solution_is_zero() {
-        let m = sample();
-        let x = [1.0, 1.0, 1.0];
-        let b = m.matvec(&x).unwrap();
-        assert_eq!(m.residual_inf(&x, &b).unwrap(), 0.0);
+        assert_eq!(m.row(0), (&[0usize, 1][..], &[5.0, -5.0][..]));
+        assert_eq!(m.row(1), (&[0usize, 1][..], &[-5.0, 7.0][..]));
     }
 
     #[test]

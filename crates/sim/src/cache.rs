@@ -18,51 +18,28 @@
 //! hashes; at that width accidental collisions are out of reach of any
 //! realistic workload.
 //!
-//! Reuse comes in two flavours ([`CacheMode`]):
-//!
-//! * [`CacheMode::Full`] (the default) replays the stored node voltages
-//!   through the pure extraction step — **bit-identical** to the cold solve
-//!   that populated the entry, including its [`SolveStats`].
-//! * [`CacheMode::Seed`] warm-starts a fresh solve from the stored voltages
-//!   with verify semantics (see [`crate::solve::Warm`]): the weights are
-//!   bit-identical whenever the verifying sweep confirms the seed, while
-//!   the stats honestly report the ~1 sweep of work actually done. This
-//!   mode exists to exercise and validate the warm-start path; `Full` is
-//!   strictly cheaper.
+//! A hit replays the stored node voltages through the pure extraction
+//! step, so it is **bit-identical** to the cold solve that populated the
+//! entry, including its [`SolveStats`]. Only cold solves are stored: a
+//! caller's warm-started solve (repair re-simulation) is never inserted, so
+//! every entry is a genuine cold result. To time a cold map, empty the
+//! cache first with [`clear_solve_cache`].
 //!
 //! Hits and misses are counted in the `sim/solve_cache_hits` /
 //! `sim/solve_cache_misses` metrics (`xbar-obs`).
 //!
-//! The store is process-global and bounded by stored voltage volume
-//! (FIFO eviction), so long sweeps cannot grow it without limit.
+//! A `SolveCache` is bounded by stored voltage volume (FIFO eviction), so
+//! long sweeps cannot grow it without limit. One process-wide instance
+//! backs the tile simulation API; tests that count entries use a private
+//! one.
 //!
 //! [`SolveStats`]: xbar_linalg::SolveStats
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 use crate::conductance::ConductanceMatrix;
 use crate::solve::{NodeVoltages, NonIdealSolver, SolveMethod};
-
-/// How [`crate::tile::simulate_tile`] uses the solve cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheMode {
-    /// No caching: every array is solved cold.
-    Off,
-    /// Hits replay the stored cold solve — bit-identical results and stats.
-    Full,
-    /// Hits warm-start a verifying solve from the stored voltages
-    /// (bit-identical weights, honest ~1-sweep stats).
-    Seed,
-}
-
-const MODE_UNSET: u8 = 0;
-const MODE_OFF: u8 = 1;
-const MODE_FULL: u8 = 2;
-const MODE_SEED: u8 = 3;
-
-static MODE: AtomicU8 = AtomicU8::new(MODE_UNSET);
 
 /// Total `f64`-equivalents the cache may hold before FIFO eviction kicks
 /// in (~64 MiB). Each entry is charged its voltage payload *plus*
@@ -128,53 +105,63 @@ pub(crate) struct CachedSolve {
     pub fallback: bool,
 }
 
-static STORE: Mutex<Option<Store>> = Mutex::new(None);
+/// A bounded, content-addressed store of cold array solves. Every method
+/// takes `&self`: the store sits behind a mutex, so one instance can back
+/// the tile solves of every mapping worker thread.
+pub(crate) struct SolveCache {
+    store: Mutex<Store>,
+}
 
-/// The active cache mode. Defaults to [`CacheMode::Full`]; the
-/// `XBAR_SOLVE_CACHE` environment variable (`off` / `full` / `seed`)
-/// overrides the default until [`set_solve_cache_mode`] is called.
-pub fn solve_cache_mode() -> CacheMode {
-    match MODE.load(Ordering::Relaxed) {
-        MODE_OFF => CacheMode::Off,
-        MODE_FULL => CacheMode::Full,
-        MODE_SEED => CacheMode::Seed,
-        _ => {
-            let mode = match std::env::var("XBAR_SOLVE_CACHE").as_deref() {
-                Ok("off") | Ok("0") => CacheMode::Off,
-                Ok("seed") => CacheMode::Seed,
-                _ => CacheMode::Full,
-            };
-            MODE.store(encode(mode), Ordering::Relaxed);
-            mode
+impl SolveCache {
+    pub(crate) fn new() -> SolveCache {
+        SolveCache {
+            store: Mutex::new(Store::new()),
         }
     }
-}
 
-/// Sets the cache mode for the whole process. Switching modes does not
-/// drop stored entries; use [`clear_solve_cache`] for that.
-pub fn set_solve_cache_mode(mode: CacheMode) {
-    MODE.store(encode(mode), Ordering::Relaxed);
-}
+    /// The process-wide cache behind [`crate::tile::simulate_tile`],
+    /// [`crate::tile::solve_currents_batch`] and [`clear_solve_cache`].
+    pub(crate) fn global() -> &'static SolveCache {
+        static GLOBAL: OnceLock<SolveCache> = OnceLock::new();
+        GLOBAL.get_or_init(SolveCache::new)
+    }
 
-fn encode(mode: CacheMode) -> u8 {
-    match mode {
-        CacheMode::Off => MODE_OFF,
-        CacheMode::Full => MODE_FULL,
-        CacheMode::Seed => MODE_SEED,
+    fn store(&self) -> std::sync::MutexGuard<'_, Store> {
+        self.store.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    pub(crate) fn lookup(&self, key: u128) -> Option<CachedSolve> {
+        self.store().entries.get(&key).cloned()
+    }
+
+    pub(crate) fn insert(&self, key: u128, nodes: NodeVoltages, fallback: bool) {
+        self.store().insert(key, CachedSolve { nodes, fallback });
+    }
+
+    /// Drops every entry and releases their memory.
+    pub(crate) fn clear(&self) {
+        *self.store() = Store::new();
+    }
+
+    /// Number of array solves currently stored.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.store().entries.len()
+    }
+
+    /// Applies `f` to every stored solve (tests tamper with entries to show
+    /// that a hit replays them).
+    #[cfg(test)]
+    pub(crate) fn update_entries(&self, f: impl FnMut(&mut CachedSolve)) {
+        self.store().entries.values_mut().for_each(f);
     }
 }
 
-/// Drops every cached solve (hit/miss counters in `xbar-obs` are
-/// cumulative and unaffected).
+/// Empties the process-wide solve cache, so the next map solves every
+/// tile cold (hit/miss counters in `xbar-obs` are cumulative and
+/// unaffected).
 pub fn clear_solve_cache() {
-    let mut guard = STORE.lock().unwrap_or_else(|e| e.into_inner());
-    *guard = None;
-}
-
-/// Number of array solves currently cached.
-pub fn solve_cache_len() -> usize {
-    let guard = STORE.lock().unwrap_or_else(|e| e.into_inner());
-    guard.as_ref().map_or(0, |s| s.entries.len())
+    SolveCache::global().clear();
 }
 
 const FNV_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
@@ -238,18 +225,6 @@ pub(crate) fn solve_keys_batch(
 ) -> Vec<u128> {
     let prefix = solve_key_prefix(solver, g);
     vs.iter().map(|v| extend_key(prefix, v)).collect()
-}
-
-pub(crate) fn lookup(key: u128) -> Option<CachedSolve> {
-    let guard = STORE.lock().unwrap_or_else(|e| e.into_inner());
-    guard.as_ref()?.entries.get(&key).cloned()
-}
-
-pub(crate) fn insert(key: u128, nodes: NodeVoltages, fallback: bool) {
-    let mut guard = STORE.lock().unwrap_or_else(|e| e.into_inner());
-    guard
-        .get_or_insert_with(Store::new)
-        .insert(key, CachedSolve { nodes, fallback });
 }
 
 #[cfg(test)]

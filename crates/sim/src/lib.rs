@@ -63,7 +63,7 @@ pub mod solve;
 pub mod tile;
 pub mod variation;
 
-pub use cache::{clear_solve_cache, set_solve_cache_mode, solve_cache_mode, CacheMode};
+pub use cache::clear_solve_cache;
 pub use conductance::{ConductanceMatrix, MappingScale};
 pub use drift::{DriftModel, ProgrammedPair};
 pub use faults::{FaultKind, FaultModel};

@@ -72,9 +72,9 @@ pub enum SolveMethod {
 ///
 /// Voltages are the solver's *state*: handing them back to a later solve as
 /// a [`Warm`] start lets that solve resume where this one left off (the 4×
-/// fallback retry) or verify-and-reuse a converged solution (cached
-/// re-solves, repair re-simulation) instead of rediscovering everything
-/// from the cold initial guess.
+/// fallback retry) or verify-and-reuse a converged solution (repair
+/// re-simulation) instead of rediscovering everything from the cold
+/// initial guess.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeVoltages {
     /// Row-wire node voltages.
@@ -930,8 +930,8 @@ impl NonIdealSolver {
                     if let Some((seed_vr, seed_vc)) = seed {
                         // The verified seed moved less than the tolerance
                         // under a full sweep — it is still a fixed point by
-                        // the same criterion a cold solve uses, so hand it
-                        // back unchanged.
+                        // the same test a cold solve uses, so hand it back
+                        // unchanged.
                         return Ok((seed_vr, seed_vc, stats));
                     }
                 }

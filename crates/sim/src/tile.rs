@@ -5,7 +5,7 @@
 //! solve → effective conductances `G'` → non-ideal weights `W'`, plus NF
 //! statistics for Fig. 3(d).
 
-use crate::cache::{self, CacheMode};
+use crate::cache::{self, SolveCache};
 use crate::conductance::{
     conductances_to_weights, weights_to_conductances, ConductanceMatrix, DifferentialPair,
     MappingScale,
@@ -239,8 +239,8 @@ pub fn simulate_tile(
 /// start relaxation from that state instead of the cold guess.
 ///
 /// Warm-started solves are never inserted into the solve cache — only cold
-/// solves are, so a [`CacheMode::Full`] hit always replays a genuine cold
-/// result bit-for-bit.
+/// solves are, so a cache hit always replays a genuine cold result
+/// bit-for-bit.
 ///
 /// # Errors
 ///
@@ -257,19 +257,33 @@ pub fn simulate_tile_seeded(
     seed: u64,
     warm: Option<&TileSolveState>,
 ) -> Result<(TileOutcome, TileSolveState)> {
+    let prepared = prepare_tile_conductances(tile, scale, layer_abs_max, params, seed)?;
+    solve_prepared(SolveCache::global(), prepared, params, method, warm)
+}
+
+/// The circuit-solve half of [`simulate_tile_seeded`]: solves both arrays
+/// of a programmed pair through `cache` and reads back `W'` and the NF
+/// statistics.
+fn solve_prepared(
+    cache: &SolveCache,
+    prepared: PreparedTile,
+    params: &CrossbarParams,
+    method: SolveMethod,
+    warm: Option<&TileSolveState>,
+) -> Result<(TileOutcome, TileSolveState)> {
     let PreparedTile {
         pair,
         fault_report,
         low_g_fraction: low_g,
-    } = prepare_tile_conductances(tile, scale, layer_abs_max, params, seed)?;
+    } = prepared;
     let solver =
         NonIdealSolver::try_new(*params, method).map_err(|e| SolveError::Config(e.to_string()))?;
-    let v = vec![params.v_read; tile.rows()];
+    let v = vec![params.v_read; pair.pos.rows()];
     // A seed whose shape disagrees with the prepared tile (left over from a
     // pre-repair geometry, a remap, or a column permutation against the
     // wrong width) must not reach the solver: drop it and solve cold — one
     // normal cold solve, counted once — instead of failing the tile.
-    let n = tile.rows() * tile.cols();
+    let n = pair.pos.rows() * pair.pos.cols();
     let warm = warm.filter(|w| {
         [&w.pos, &w.neg]
             .iter()
@@ -277,9 +291,9 @@ pub fn simulate_tile_seeded(
     });
     let solve_start = std::time::Instant::now();
     let (pos_solve, pos_nodes, pos_fallback) =
-        solve_array(&solver, &pair.pos, &v, warm.map(|w| w.pos.warm()))?;
+        solve_array(cache, &solver, &pair.pos, &v, warm.map(|w| w.pos.warm()))?;
     let (neg_solve, neg_nodes, neg_fallback) =
-        solve_array(&solver, &pair.neg, &v, warm.map(|w| w.neg.warm()))?;
+        solve_array(cache, &solver, &pair.neg, &v, warm.map(|w| w.neg.warm()))?;
     let solve_us = solve_start.elapsed().as_secs_f64() * 1e6;
     let mut stats = pos_solve.stats;
     stats.accumulate(neg_solve.stats);
@@ -335,43 +349,21 @@ pub fn simulate_tile_seeded(
 /// failures are counted in the `sim/tile_fallbacks` / `sim/tile_failures`
 /// metrics, cache traffic in `sim/solve_cache_hits` / `_misses`.
 fn solve_array(
+    cache: &SolveCache,
     solver: &NonIdealSolver,
     g: &ConductanceMatrix,
     v: &[f64],
     warm: Option<Warm<'_>>,
 ) -> Result<(EffectiveSolve, NodeVoltages, bool)> {
-    let mode = cache::solve_cache_mode();
-    let key = if mode == CacheMode::Off {
-        None
-    } else {
-        Some(cache::solve_key(solver, g, v))
-    };
-    if let Some(key) = key {
-        if let Some(hit) = cache::lookup(key) {
-            xbar_obs::metrics::counter_add(names::SIM_SOLVE_CACHE_HITS, 1);
-            match mode {
-                // Replay the stored cold solve: extraction is pure, so this
-                // is bit-identical to the solve that populated the entry.
-                CacheMode::Full => {
-                    let solve = solver.extract(g, v, &hit.nodes)?;
-                    return Ok((solve, hit.nodes, hit.fallback));
-                }
-                // Verify-and-reuse: one sweep confirms the seed still meets
-                // tolerance (equal keys make failure impossible in practice,
-                // but fall through to the cold path if it ever happens).
-                CacheMode::Seed => {
-                    let nodes = solver.solve_nodes(g, v, Some(hit.nodes.warm()))?;
-                    if nodes.stats.converged {
-                        let solve = solver.extract(g, v, &nodes)?;
-                        return Ok((solve, nodes, false));
-                    }
-                }
-                CacheMode::Off => unreachable!("cache key computed with cache off"),
-            }
-        } else {
-            xbar_obs::metrics::counter_add(names::SIM_SOLVE_CACHE_MISSES, 1);
-        }
+    let key = cache::solve_key(solver, g, v);
+    if let Some(hit) = cache.lookup(key) {
+        xbar_obs::metrics::counter_add(names::SIM_SOLVE_CACHE_HITS, 1);
+        // Replay the stored cold solve: extraction is pure, so this is
+        // bit-identical to the solve that populated the entry.
+        let solve = solver.extract(g, v, &hit.nodes)?;
+        return Ok((solve, hit.nodes, hit.fallback));
     }
+    xbar_obs::metrics::counter_add(names::SIM_SOLVE_CACHE_MISSES, 1);
     let caller_seeded = warm.is_some();
     let first = solver.solve_nodes(g, v, warm)?;
     let (nodes, fallback) = if first.stats.converged {
@@ -396,20 +388,17 @@ fn solve_array(
     };
     let solve = solver.extract(g, v, &nodes)?;
     if !caller_seeded {
-        if let Some(key) = key {
-            cache::insert(key, nodes.clone(), fallback);
-        }
+        cache.insert(key, nodes.clone(), fallback);
     }
     Ok((solve, nodes, fallback))
 }
 
 /// Batched column currents through one programmed conductance array,
 /// routed through the solve cache: the whole batch shares one key prefix
-/// ([`cache`] hashes the conductances once), cache hits replay or
-/// verify-and-reuse per [`CacheMode`], and the remaining cold elements are
-/// deduplicated by key — identical input vectors solve **once** and insert
-/// **once** — before solving together through
-/// [`NonIdealSolver::solve_nodes_batch`].
+/// ([`cache`] hashes the conductances once), cache hits replay the stored
+/// cold solve, and the remaining cold elements are deduplicated by key —
+/// identical input vectors solve **once** and insert **once** — before
+/// solving together through [`NonIdealSolver::solve_nodes_batch`].
 ///
 /// Elements that miss the base sweep budget get the same 4× resume
 /// fallback as [`simulate_tile_seeded`]'s per-array solves (abandoned
@@ -423,6 +412,15 @@ fn solve_array(
 /// * [`SolveError::NoConvergence`] if any element still fails after the
 ///   fallback.
 pub fn solve_currents_batch(
+    solver: &NonIdealSolver,
+    g: &ConductanceMatrix,
+    vs: &[Vec<f64>],
+) -> Result<Vec<Vec<f64>>> {
+    solve_currents_batch_in(SolveCache::global(), solver, g, vs)
+}
+
+fn solve_currents_batch_in(
+    cache: &SolveCache,
     solver: &NonIdealSolver,
     g: &ConductanceMatrix,
     vs: &[Vec<f64>],
@@ -444,32 +442,17 @@ pub fn solve_currents_batch(
     if vs.is_empty() {
         return Ok(Vec::new());
     }
-    let mode = cache::solve_cache_mode();
-    if mode == CacheMode::Off {
-        return batch_with_fallback(solver, g, vs, None);
-    }
     let keys = cache::solve_keys_batch(solver, g, vs);
     let mut results: Vec<Option<Vec<f64>>> = vec![None; vs.len()];
     let mut pending: Vec<usize> = Vec::new();
     for (idx, &key) in keys.iter().enumerate() {
-        let Some(hit) = cache::lookup(key) else {
+        let Some(hit) = cache.lookup(key) else {
             xbar_obs::metrics::counter_add(names::SIM_SOLVE_CACHE_MISSES, 1);
             pending.push(idx);
             continue;
         };
         xbar_obs::metrics::counter_add(names::SIM_SOLVE_CACHE_HITS, 1);
-        match mode {
-            CacheMode::Full => results[idx] = Some(solver.currents_of(g, &hit.nodes)?),
-            CacheMode::Seed => {
-                let nodes = solver.solve_nodes(g, &vs[idx], Some(hit.nodes.warm()))?;
-                if nodes.stats.converged {
-                    results[idx] = Some(solver.currents_of(g, &nodes)?);
-                } else {
-                    pending.push(idx);
-                }
-            }
-            CacheMode::Off => unreachable!("cache keys computed with cache off"),
-        }
+        results[idx] = Some(solver.currents_of(g, &hit.nodes)?);
     }
     if !pending.is_empty() {
         // Deduplicate the cold work by key: within a batch, identical
@@ -490,7 +473,7 @@ pub fn solve_currents_batch(
             }
         }
         let cold_vs: Vec<Vec<f64>> = members.iter().map(|m| vs[m[0]].clone()).collect();
-        let currents = batch_with_fallback(solver, g, &cold_vs, Some(&unique_keys))?;
+        let currents = batch_with_fallback(cache, solver, g, &cold_vs, &unique_keys)?;
         for (m, cur) in members.iter().zip(currents) {
             for &idx in m {
                 results[idx] = Some(cur.clone());
@@ -505,21 +488,21 @@ pub fn solve_currents_batch(
 
 /// Cold-solves a batch and applies the per-element 4× resume fallback on
 /// sweep-cap misses (abandoned sweeps counted once, exactly like
-/// [`solve_array`]). When `insert_keys` is given, each solved element is
-/// inserted into the cache under its key — once per element, since the
-/// caller already deduplicated.
+/// [`solve_array`]), inserting each solved element into `cache` under its
+/// key — once per element, since the caller already deduplicated.
 fn batch_with_fallback(
+    cache: &SolveCache,
     solver: &NonIdealSolver,
     g: &ConductanceMatrix,
     vs: &[Vec<f64>],
-    insert_keys: Option<&[u128]>,
+    keys: &[u128],
 ) -> Result<Vec<Vec<f64>>> {
     let solved = solver.solve_nodes_batch(g, vs)?;
     solved
         .into_iter()
         .zip(vs)
-        .enumerate()
-        .map(|(idx, (first, v))| {
+        .zip(keys)
+        .map(|((first, v), &key)| {
             let (nodes, fallback) = if first.stats.converged {
                 (first, false)
             } else {
@@ -539,9 +522,7 @@ fn batch_with_fallback(
                 (resumed, true)
             };
             let currents = solver.currents_of(g, &nodes)?;
-            if let Some(keys) = insert_keys {
-                cache::insert(keys[idx], nodes, fallback);
-            }
+            cache.insert(key, nodes, fallback);
             Ok(currents)
         })
         .collect()
@@ -550,10 +531,20 @@ fn batch_with_fallback(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
 
-    /// Serialises tests that flip the process-global cache mode.
-    static CACHE_TEST_LOCK: Mutex<()> = Mutex::new(());
+    /// [`simulate_tile_seeded`] through `cache` instead of the process-wide
+    /// one, so a test sees only its own entries.
+    fn simulate_in(
+        cache: &SolveCache,
+        tile: &Tensor,
+        params: &CrossbarParams,
+        seed: u64,
+        warm: Option<&TileSolveState>,
+    ) -> (TileOutcome, TileSolveState) {
+        let prepared =
+            prepare_tile_conductances(tile, MappingScale::PerTileMax, 1.0, params, seed).unwrap();
+        solve_prepared(cache, prepared, params, SolveMethod::LineRelaxation, warm).unwrap()
+    }
 
     fn rand_tile(rows: usize, cols: usize, seed: u64, amp: f32) -> Tensor {
         let mut s = seed;
@@ -810,69 +801,41 @@ mod tests {
     }
 
     #[test]
-    fn cached_and_warm_started_tiles_match_cold_bitwise() {
-        let _guard = CACHE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let prior = cache::solve_cache_mode();
+    fn cache_replay_matches_cold_tile_bitwise() {
         let params = CrossbarParams::with_size(16);
         let tile = rand_tile(16, 16, 42, 1.0);
-        let run = || {
-            simulate_tile(
-                &tile,
-                MappingScale::PerTileMax,
-                1.0,
-                &params,
-                SolveMethod::LineRelaxation,
-                9,
-            )
-            .unwrap()
+        let run = |cache: &SolveCache| simulate_in(cache, &tile, &params, 9, None).0;
+        let same = |a: &TileOutcome, b: &TileOutcome, what: &str| {
+            assert_eq!(a.weights, b.weights, "{what}: weights");
+            assert_eq!(a.stats, b.stats, "{what}: stats");
+            assert_eq!(a.fallback, b.fallback, "{what}: fallback");
+            assert_eq!(a.nf_pos.to_bits(), b.nf_pos.to_bits(), "{what}: nf_pos");
+            assert_eq!(a.nf_neg.to_bits(), b.nf_neg.to_bits(), "{what}: nf_neg");
         };
-        cache::set_solve_cache_mode(CacheMode::Off);
-        let cold = run();
-        // Full mode: populate cold, then a hit replays the stored solve —
-        // weights AND stats bit-identical.
-        cache::set_solve_cache_mode(CacheMode::Full);
-        cache::clear_solve_cache();
-        let populate = run();
-        assert_eq!(populate.weights, cold.weights);
-        assert_eq!(populate.stats, cold.stats);
-        let hit = run();
-        assert_eq!(hit.weights, cold.weights);
-        assert_eq!(hit.stats, cold.stats);
-        assert_eq!(hit.fallback, cold.fallback);
-        // Seed mode: the hit warm-starts a verifying solve — weights still
-        // bit-identical, stats honestly ~1 sweep per array.
-        cache::set_solve_cache_mode(CacheMode::Seed);
-        let seeded = run();
-        assert_eq!(seeded.weights, cold.weights);
-        assert!(
-            seeded.stats.iterations < cold.stats.iterations,
-            "verified reuse must be cheaper: {} vs {} sweeps",
-            seeded.stats.iterations,
-            cold.stats.iterations
-        );
-        cache::set_solve_cache_mode(prior);
+        let cold = run(&SolveCache::new());
+        // Empty cache → populate (one cold solve per array) → replay:
+        // weights, stats and NF bit-identical, and no further inserts.
+        let cache = SolveCache::new();
+        let populate = run(&cache);
+        same(&populate, &cold, "populate");
+        assert_eq!(cache.len(), 2, "one entry per array");
+        let hit = run(&cache);
+        same(&hit, &cold, "replay");
+        assert_eq!(cache.len(), 2);
+        // The replay really comes from the stored entries: marking their
+        // stats shows up in the next run's reported work.
+        cache.update_entries(|entry| entry.nodes.stats.iterations += 1000);
+        assert_eq!(run(&cache).stats.iterations, cold.stats.iterations + 2000);
     }
 
     #[test]
     fn caller_seeded_resimulation_matches_cold_within_tolerance() {
-        let _guard = CACHE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let prior = cache::solve_cache_mode();
-        cache::set_solve_cache_mode(CacheMode::Off);
         let params = CrossbarParams::with_size(12);
         let tile = rand_tile(12, 12, 7, 1.0);
-        let cold = |t: &Tensor| {
-            simulate_tile_seeded(
-                t,
-                MappingScale::PerTileMax,
-                1.0,
-                &params,
-                SolveMethod::LineRelaxation,
-                4,
-                None,
-            )
-            .unwrap()
-        };
-        let (base, state) = cold(&tile);
+        // Each run gets an empty cache, so the warm start below really
+        // relaxes from its seed instead of replaying a stored cold solve.
+        let cold = |t: &Tensor| simulate_in(&SolveCache::new(), t, &params, 4, None);
+        let (_, state) = cold(&tile);
         // Re-simulate a column-swapped variant warm-started from the
         // permuted base state; compare with its cold solve.
         let mut swapped = tile.clone();
@@ -883,16 +846,9 @@ mod tests {
         }
         let (cold_swap, _) = cold(&swapped);
         let seed = state.swap_columns(12, &[(2, 9)]);
-        let (warm_swap, _) = simulate_tile_seeded(
-            &swapped,
-            MappingScale::PerTileMax,
-            1.0,
-            &params,
-            SolveMethod::LineRelaxation,
-            4,
-            Some(&seed),
-        )
-        .unwrap();
+        let cache = SolveCache::new();
+        let (warm_swap, _) = simulate_in(&cache, &swapped, &params, 4, Some(&seed));
+        assert_eq!(cache.len(), 0, "warm-started solves are never cached");
         assert!(
             warm_swap.stats.iterations <= cold_swap.stats.iterations,
             "warm start must not do more work: {} vs {}",
@@ -909,37 +865,15 @@ mod tests {
         {
             assert!((a - b).abs() < 1e-5, "{a} vs {b}");
         }
-        let _ = base;
-        cache::set_solve_cache_mode(prior);
     }
 
     #[test]
     fn fallback_resume_is_bit_identical_and_counts_sweeps_once() {
-        let _guard = CACHE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let prior = cache::solve_cache_mode();
-        cache::set_solve_cache_mode(CacheMode::Off);
         let params = CrossbarParams::with_size(16);
-        let g = {
-            let mut g = ConductanceMatrix::filled(16, 16, 0.0);
-            let mut s = 3u64;
-            for i in 0..16 {
-                for j in 0..16 {
-                    s ^= s << 13;
-                    s ^= s >> 7;
-                    s ^= s << 17;
-                    let frac = (s % 1000) as f64 / 1000.0;
-                    g.set(
-                        i,
-                        j,
-                        params.g_min() + frac * (params.g_max() - params.g_min()),
-                    );
-                }
-            }
-            g
-        };
+        let g = rand_g(16, 3, &params);
         let v = vec![params.v_read; 16];
         let solver = NonIdealSolver::new(params, SolveMethod::LineRelaxation);
-        let (cold, _, cold_fb) = solve_array(&solver, &g, &v, None).unwrap();
+        let (cold, _, cold_fb) = solve_array(&SolveCache::new(), &solver, &g, &v, None).unwrap();
         assert!(!cold_fb);
         let n = cold.stats.iterations;
         assert!(n >= 2, "need a multi-sweep solve to starve ({n} sweeps)");
@@ -948,7 +882,8 @@ mod tests {
         // count the abandoned sweeps exactly once.
         let mut starved = solver;
         starved.max_sweeps = n - 1;
-        let (fb, _, used_fallback) = solve_array(&starved, &g, &v, None).unwrap();
+        let (fb, _, used_fallback) =
+            solve_array(&SolveCache::new(), &starved, &g, &v, None).unwrap();
         assert!(used_fallback);
         assert_eq!(fb.g_eff.as_slice(), cold.g_eff.as_slice());
         assert_eq!(fb.col_currents, cold.col_currents);
@@ -956,7 +891,6 @@ mod tests {
             fb.stats.iterations, n,
             "abandoned sweeps must be counted exactly once"
         );
-        cache::set_solve_cache_mode(prior);
     }
 
     fn rand_g(n: usize, seed: u64, params: &CrossbarParams) -> ConductanceMatrix {
@@ -980,8 +914,6 @@ mod tests {
 
     #[test]
     fn batched_tile_currents_match_singles_and_insert_once() {
-        let _guard = CACHE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let prior = cache::solve_cache_mode();
         let n = 10usize;
         let params = CrossbarParams::with_size(16);
         let g = rand_g(n, 77, &params);
@@ -999,39 +931,31 @@ mod tests {
             .iter()
             .map(|v| solver.column_currents(&g, v).unwrap())
             .collect();
-        for mode in [CacheMode::Off, CacheMode::Full, CacheMode::Seed] {
-            cache::set_solve_cache_mode(mode);
-            cache::clear_solve_cache();
-            let batch = solve_currents_batch(&solver, &g, &vs).unwrap();
-            assert_eq!(batch, singles, "{mode:?} cold batch vs singles");
-            let expect_len = if mode == CacheMode::Off { 0 } else { 3 };
-            assert_eq!(
-                cache::solve_cache_len(),
-                expect_len,
-                "{mode:?}: one insert per unique vector, duplicates share"
-            );
-            // Replay entirely from the cache (where enabled): still equal,
-            // and no further inserts.
-            let again = solve_currents_batch(&solver, &g, &vs).unwrap();
-            assert_eq!(again, singles, "{mode:?} warm batch vs singles");
-            assert_eq!(cache::solve_cache_len(), expect_len);
-        }
-        cache::clear_solve_cache();
-        cache::set_solve_cache_mode(prior);
+        let cache = SolveCache::new();
+        let batch = solve_currents_batch_in(&cache, &solver, &g, &vs).unwrap();
+        assert_eq!(batch, singles, "cold batch vs singles");
+        assert_eq!(
+            cache.len(),
+            3,
+            "one insert per unique vector, duplicates share"
+        );
+        // Replay entirely from the cache: still equal, and no further
+        // inserts.
+        let again = solve_currents_batch_in(&cache, &solver, &g, &vs).unwrap();
+        assert_eq!(again, singles, "replayed batch vs singles");
+        assert_eq!(cache.len(), 3);
     }
 
     /// Property sweep for the batched solver: over tile edges that are not
-    /// multiples of the 8-wide lane chunk, batch sizes {1, 2, 7, 32}, and
-    /// every cache mode, with stuck-at faults injected and the conductances
-    /// routed through the drift layer at `dt = 0` (a bit-identical
-    /// passthrough by contract), the batched currents must equal the
-    /// single-vector path's bit for bit — cold and on cache replay.
+    /// multiples of the 8-wide lane chunk and batch sizes {1, 2, 7, 32},
+    /// with stuck-at faults injected and the conductances routed through
+    /// the drift layer at `dt = 0` (a bit-identical passthrough by
+    /// contract), the batched currents must equal the single-vector path's
+    /// bit for bit — from an empty cache and on cache replay.
     #[test]
     fn property_batched_currents_bitwise_match_singles() {
         use crate::drift::{DriftModel, ProgrammedPair};
         use crate::faults::FaultModel;
-        let _guard = CACHE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let prior = cache::solve_cache_mode();
         for n in [5usize, 9, 13] {
             let params = CrossbarParams::with_size(n.max(8));
             let mut g = rand_g(n, 0xF00D ^ n as u64, &params);
@@ -1066,24 +990,19 @@ mod tests {
                     .iter()
                     .map(|v| solver.column_currents(&g, v).unwrap())
                     .collect();
-                for mode in [CacheMode::Off, CacheMode::Full, CacheMode::Seed] {
-                    cache::set_solve_cache_mode(mode);
-                    cache::clear_solve_cache();
-                    let cold = solve_currents_batch(&solver, &g, &vs).unwrap();
-                    assert!(
-                        bits_eq(&cold, &singles),
-                        "n={n} nb={nb} {mode:?}: cold batch diverged from singles"
-                    );
-                    let warm = solve_currents_batch(&solver, &g, &vs).unwrap();
-                    assert!(
-                        bits_eq(&warm, &singles),
-                        "n={n} nb={nb} {mode:?}: cache replay diverged from singles"
-                    );
-                }
+                let cache = SolveCache::new();
+                let cold = solve_currents_batch_in(&cache, &solver, &g, &vs).unwrap();
+                assert!(
+                    bits_eq(&cold, &singles),
+                    "n={n} nb={nb}: cold batch diverged from singles"
+                );
+                let replay = solve_currents_batch_in(&cache, &solver, &g, &vs).unwrap();
+                assert!(
+                    bits_eq(&replay, &singles),
+                    "n={n} nb={nb}: cache replay diverged from singles"
+                );
             }
         }
-        cache::clear_solve_cache();
-        cache::set_solve_cache_mode(prior);
     }
 
     fn bits_eq(a: &[Vec<f64>], b: &[Vec<f64>]) -> bool {
@@ -1095,21 +1014,11 @@ mod tests {
 
     #[test]
     fn stale_shape_warm_seed_falls_back_to_cold_bitwise() {
-        let _guard = CACHE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let prior = cache::solve_cache_mode();
-        cache::set_solve_cache_mode(CacheMode::Off);
         let params = CrossbarParams::with_size(12);
+        // Empty caches throughout, so the seeded run cannot just replay
+        // the cold one.
         let run = |t: &Tensor, warm: Option<&TileSolveState>| {
-            simulate_tile_seeded(
-                t,
-                MappingScale::PerTileMax,
-                1.0,
-                &params,
-                SolveMethod::LineRelaxation,
-                4,
-                warm,
-            )
-            .unwrap()
+            simulate_in(&SolveCache::new(), t, &params, 4, warm)
         };
         // A seed from a 12×12 geometry handed to an 8×8 re-map (the remap /
         // hot-swap path after repair changed the tile shape) must be dropped,
@@ -1124,27 +1033,19 @@ mod tests {
             "stale seed must cost nothing extra"
         );
         assert_eq!(warmed.fallback, cold.fallback);
-        cache::set_solve_cache_mode(prior);
     }
 
     #[test]
     #[should_panic(expected = "not a whole number")]
     fn swap_columns_rejects_mismatched_geometry() {
-        let _guard = CACHE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let prior = cache::solve_cache_mode();
-        cache::set_solve_cache_mode(CacheMode::Off);
         let params = CrossbarParams::with_size(8);
-        let (_, state) = simulate_tile_seeded(
+        let (_, state) = simulate_in(
+            &SolveCache::new(),
             &rand_tile(8, 8, 17, 1.0),
-            MappingScale::PerTileMax,
-            1.0,
             &params,
-            SolveMethod::LineRelaxation,
             2,
             None,
-        )
-        .unwrap();
-        cache::set_solve_cache_mode(prior);
+        );
         // 64 voltages are not a whole number of 5-wide rows.
         let _ = state.swap_columns(5, &[(0, 1)]);
     }
