@@ -1,7 +1,6 @@
 //! Figure-shaped artifacts: the paper's **Fig. 3** accuracy/NF panels, the
 //! **Fig. 3(f)** weight heatmaps, and the **Fig. 4** mitigation panels
-//! (R transformation and WCT). Moved out of the standalone binaries so the
-//! suite orchestrator can run them as library calls, one panel per artifact.
+//! (R transformation and WCT), one panel per suite artifact.
 
 use super::{ArtifactCtx, ArtifactOutput};
 use crate::report::{pct, results_dir, Table};
@@ -429,11 +428,6 @@ pub fn fig4_panel(ctx: &ArtifactCtx, panel: &str) -> Result<ArtifactOutput, Stri
         .map_err(|e| format!("dataset well-formed: {e}"))?;
     let mut wct_cfg = WctConfig::default();
     wct_cfg.train.batch_size = ctx.scale.batch_size;
-    if let Ok(q) = std::env::var("XBAR_WCT_Q") {
-        wct_cfg.quantile = q
-            .parse()
-            .map_err(|e| format!("XBAR_WCT_Q must be a float: {e}"))?;
-    }
     let constraint: Option<&dyn WeightConstraint> =
         tm_wct.masks.as_ref().map(|m| m as &dyn WeightConstraint);
     let outcome = apply_wct(&mut tm_wct.model, train_ref, &wct_cfg, constraint)

@@ -1,10 +1,8 @@
 //! Every table/figure/ablation of the reproduction as a library function.
 //!
-//! Historically each artifact lived in its own binary under `src/bin/`,
-//! invoked by hand; the artifact-generation logic now lives here so that
-//! (a) the thin binaries keep working for one-off regeneration and
-//! (b) the [`crate::suite`] orchestrator can enumerate, deduplicate and run
-//! all of them behind one entry point.
+//! The [`crate::suite`] orchestrator (the `suite` binary) enumerates,
+//! deduplicates and runs them behind one entry point; `suite --only <name>`
+//! regenerates a single artifact.
 //!
 //! Each artifact is described by an [`ArtifactSpec`]:
 //!
@@ -48,7 +46,7 @@ pub struct ArtifactCtx {
 }
 
 impl ArtifactCtx {
-    /// A context printing tables to stdout — the standalone-binary default.
+    /// A context printing tables to stdout.
     pub fn new(scale: ExperimentScale, scale_name: &'static str, seed: u64) -> Self {
         ArtifactCtx {
             scale,
@@ -194,40 +192,12 @@ fig_panel!(
     "f"
 );
 
-fn run_fault_sweep(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
-    tables::fault_sweep(ctx, tables::FAULT_SWEEP_SIZE)
-}
-
-fn run_inventory(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
-    tables::inventory(ctx, 32, xbar_prune::PruneMethod::ChannelFilter)
-}
-
 fn run_map(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
     perfmap::map_artifact(ctx, &perfmap::MapArtifactOptions::default())
 }
 
 fn scen_map(ctx: &ArtifactCtx) -> Vec<Scenario> {
     perfmap::map_artifact_scenarios(ctx, &perfmap::MapArtifactOptions::default())
-}
-
-fn run_perf(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
-    perfmap::perf(ctx, 32)
-}
-
-fn run_solve(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
-    solveperf::solve_bench(
-        ctx,
-        solveperf::SOLVE_BENCH_SIZE,
-        solveperf::SOLVE_BENCH_BATCH,
-    )
-}
-
-fn run_serve(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
-    serveperf::serve_bench(
-        ctx,
-        serveperf::SERVE_BENCH_CONNECTIONS,
-        serveperf::SERVE_BENCH_REQUESTS,
-    )
 }
 
 /// Every artifact the suite regenerates, in a stable order: the paper's
@@ -329,14 +299,14 @@ pub fn registry() -> Vec<ArtifactSpec> {
             name: "inventory",
             paper_ref: "layer inventory (ours)",
             exclusive: false,
-            run: run_inventory,
+            run: tables::inventory,
             scenarios: tables::inventory_scenarios,
         },
         ArtifactSpec {
             name: "fault_sweep",
             paper_ref: "fault sweep (ours)",
             exclusive: false,
-            run: run_fault_sweep,
+            run: tables::fault_sweep,
             scenarios: tables::fault_sweep_scenarios,
         },
         ArtifactSpec {
@@ -392,21 +362,21 @@ pub fn registry() -> Vec<ArtifactSpec> {
             name: "perf",
             paper_ref: "solver-performance bench (ours)",
             exclusive: true,
-            run: run_perf,
+            run: perfmap::perf,
             scenarios: no_scenarios,
         },
         ArtifactSpec {
             name: "solve",
             paper_ref: "batched-solve bench (ours)",
             exclusive: true,
-            run: run_solve,
+            run: solveperf::solve_bench,
             scenarios: no_scenarios,
         },
         ArtifactSpec {
             name: "serve",
             paper_ref: "serving throughput bench (ours)",
             exclusive: true,
-            run: run_serve,
+            run: serveperf::serve_bench,
             scenarios: no_scenarios,
         },
         ArtifactSpec {
@@ -447,6 +417,44 @@ mod tests {
             assert!(find(a.name).is_some());
         }
         assert!(find("nonsense").is_none());
+    }
+
+    /// The first cells of EXPERIMENTS.md's "Suite artifact map" table rows,
+    /// in order, with the enclosing backticks stripped. A cell naming more
+    /// than one artifact (`` `fig3a` … `fig3d` ``) stays one string, so it
+    /// matches no registered name.
+    fn experiments_map_rows(doc: &str) -> Vec<String> {
+        let section = doc
+            .split("\n## ")
+            .find(|s| s.starts_with("Suite artifact map"))
+            .expect("EXPERIMENTS.md has a Suite artifact map section");
+        section
+            .lines()
+            .filter(|line| line.starts_with("| `"))
+            .map(|line| {
+                let cell = line.split('|').nth(1).unwrap_or_default().trim();
+                cell.trim_matches('`').to_string()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn experiments_artifact_map_matches_registry() {
+        let doc = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../EXPERIMENTS.md"));
+        let rows = experiments_map_rows(doc);
+        let names: Vec<&str> = registry().iter().map(|spec| spec.name).collect();
+        for name in &names {
+            assert!(
+                rows.iter().any(|row| row == name),
+                "EXPERIMENTS.md Suite artifact map has no row for `{name}`"
+            );
+        }
+        for row in &rows {
+            assert!(
+                names.contains(&row.as_str()),
+                "EXPERIMENTS.md Suite artifact map names `{row}`, which is not registered"
+            );
+        }
     }
 
     #[test]

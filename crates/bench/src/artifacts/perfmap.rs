@@ -1,7 +1,6 @@
 //! The solver-performance benchmark (`results/BENCH_map.json`) and the
-//! serving-artifact build (`results/model.xbarmdl`), moved out of the `perf`
-//! and `map` binaries so the suite orchestrator can run them as library
-//! calls.
+//! serving-artifact build (`results/model.xbarmdl`, also driven by the
+//! `map` binary).
 
 use super::{ArtifactCtx, ArtifactOutput};
 use crate::report::{pct, results_dir, Table};
@@ -21,6 +20,9 @@ use xbar_obs::metrics::counter_value;
 use xbar_obs::names;
 use xbar_prune::PruneMethod;
 use xbar_sim::params::CrossbarParams;
+
+/// Crossbar size the solver-performance benchmark maps onto.
+pub const PERF_SIZE: usize = 32;
 
 /// What the serving-artifact build maps and where it writes the artifact.
 #[derive(Debug, Clone)]
@@ -155,8 +157,8 @@ fn bits_equal(a: &[f32], b: &[f32]) -> bool {
 }
 
 /// Solver-performance benchmark: a cold map from an empty solve cache vs a
-/// cached re-map of a width-scaled VGG11, written to
-/// `results/BENCH_map.json`.
+/// cached re-map of a width-scaled VGG11 on [`PERF_SIZE`] crossbars, written
+/// to `results/BENCH_map.json`.
 ///
 /// Times wall clock and clears the process-wide solve cache, so it must not
 /// share the process with concurrent mapping work — the registry marks it
@@ -172,8 +174,9 @@ fn bits_equal(a: &[f32], b: &[f32]) -> bool {
 /// relative margin legitimately shrank as the from-scratch path got
 /// faster; at smoke scale fixed mapping overhead dominates and the margin
 /// is thinnest.)
-pub fn perf(ctx: &ArtifactCtx, size: usize) -> Result<ArtifactOutput, String> {
+pub fn perf(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
     let mut out = ArtifactOutput::default();
+    let size = PERF_SIZE;
     let width = ctx.scale.width;
     let seed = ctx.seed;
 

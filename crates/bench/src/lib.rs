@@ -1,8 +1,9 @@
 //! # xbar-bench
 //!
 //! Shared experiment machinery for regenerating every table and figure of
-//! the paper, used by the binaries in `src/bin/` (`table1`, `fig3`, `fig4`,
-//! `heatmaps`, `ablation`, `suite`, …).
+//! the paper. The `suite` binary regenerates them (`suite --only <artifact>`
+//! for one); `map`, `loadgen` and `obs-report` build, load and inspect the
+//! serving artifact.
 //!
 //! The harness trains width-scaled VGG models on the synthetic CIFAR-like
 //! datasets (see `xbar-data` and `DESIGN.md` for the substitution note),
@@ -17,7 +18,6 @@
 
 pub mod artifacts;
 pub mod loadcore;
-pub mod openloop;
 pub mod report;
 pub mod runner;
 pub mod scenario;

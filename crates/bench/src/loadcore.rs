@@ -22,10 +22,9 @@
 //!
 //! With a non-zero [`LoadConfig::interval`] the run is open-loop: every
 //! connection's intended-send grid hangs off one shared anchor captured
-//! before any thread spawns ([`OpenLoopSchedule`]), and latency counts
+//! before any thread spawns (`OpenLoopSchedule`), and latency counts
 //! from the intended time — coordinated-omission-honest by construction.
 
-use crate::openloop::OpenLoopSchedule;
 use std::io::Write;
 use std::path::Path;
 use std::sync::Arc;
@@ -196,6 +195,63 @@ fn body_of(img: &[f32], as_json_floats: bool) -> String {
     }
 }
 
+/// The immovable intended-send-time grid of one open-loop connection.
+///
+/// Coordinated-omission-honest load generation measures latency from the
+/// *intended* send time of a request, not from whenever the generator got
+/// around to sending it. That only works if the grid is immovable: one
+/// anchor fixed before any connection starts, and request `k`'s intended
+/// time a pure function `anchor + k·interval` of it. A grid re-anchored per
+/// connection thread (or nudged forward when a connection errors and
+/// retries) silently forgives the very stalls the open-loop mode exists to
+/// charge.
+///
+/// Construct it from an anchor captured **once, before spawning any
+/// connection threads**, so every connection shares the same grid and a
+/// slow thread spawn, handshake, connection error, or retry storm cannot
+/// re-anchor the schedule.
+#[derive(Debug, Clone, Copy)]
+struct OpenLoopSchedule {
+    anchor: Instant,
+    interval: Duration,
+}
+
+impl OpenLoopSchedule {
+    /// A grid anchored at `anchor` with one intended send per `interval`.
+    fn new(anchor: Instant, interval: Duration) -> Self {
+        Self { anchor, interval }
+    }
+
+    /// The offset of request `req` (0-based) from the anchor — exactly
+    /// `req · interval`, whatever happened to earlier requests.
+    fn offset(&self, req: usize) -> Duration {
+        Duration::from_nanos(
+            u64::try_from(self.interval.as_nanos())
+                .unwrap_or(u64::MAX)
+                .saturating_mul(req as u64),
+        )
+    }
+
+    /// The intended send time of request `req` (0-based).
+    fn intended(&self, req: usize) -> Instant {
+        self.anchor + self.offset(req)
+    }
+
+    /// Blocks until `intended(req)` if it is still ahead, then returns the
+    /// intended time — the timestamp latency must be measured from. When
+    /// the generator has fallen behind schedule this returns immediately,
+    /// still with the intended time, so the backlog is charged to the
+    /// server rather than silently swallowed.
+    fn wait_until_intended(&self, req: usize) -> Instant {
+        let intended = self.intended(req);
+        let now = Instant::now();
+        if now < intended {
+            std::thread::sleep(intended - now);
+        }
+        intended
+    }
+}
+
 fn drive_connection(conn: usize, cfg: &LoadConfig, schedule: OpenLoopSchedule) -> LoadStats {
     let mut stats = LoadStats::default();
     // Retrying client: transient resets, 429 shed and 503 backpressure
@@ -332,6 +388,9 @@ pub fn write_histogram_jsonl(path: &Path, hist: &LogHistogram) -> Result<(), Str
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read;
+    use std::net::TcpListener;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     #[test]
     fn stats_rates_are_consistent() {
@@ -399,5 +458,100 @@ mod tests {
         )
         .unwrap();
         assert_eq!(restored, hist);
+    }
+
+    #[test]
+    fn grid_is_a_pure_function_of_the_anchor() {
+        let anchor = Instant::now();
+        let s = OpenLoopSchedule::new(anchor, Duration::from_millis(7));
+        for req in [0usize, 1, 2, 10, 1000] {
+            assert_eq!(s.offset(req), Duration::from_millis(7 * req as u64));
+            assert_eq!(
+                s.intended(req),
+                anchor + Duration::from_millis(7 * req as u64)
+            );
+        }
+    }
+
+    #[test]
+    fn waiting_behind_schedule_returns_the_past_intended_time() {
+        let anchor = Instant::now() - Duration::from_secs(1);
+        let s = OpenLoopSchedule::new(anchor, Duration::from_millis(10));
+        let begin = Instant::now();
+        let intended = s.wait_until_intended(3);
+        assert!(
+            begin.elapsed() < Duration::from_millis(500),
+            "must not sleep"
+        );
+        assert_eq!(intended, anchor + Duration::from_millis(30));
+        assert!(intended < Instant::now());
+    }
+
+    /// A listener that accepts each connection and slams it shut without
+    /// answering — every request the client sends errors (after its retry
+    /// backoff). The intended-time grid must come out of such a run exactly
+    /// as it went in: failures advance the request index, never the anchor.
+    #[test]
+    fn flaky_listener_does_not_move_the_intended_grid() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let stop = Arc::new(AtomicBool::new(false));
+        let server = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                listener.set_nonblocking(true).unwrap();
+                while !stop.load(Ordering::SeqCst) {
+                    match listener.accept() {
+                        Ok((mut conn, _)) => {
+                            // Read a little so the client commits to the
+                            // request, then drop the socket mid-exchange.
+                            let mut buf = [0u8; 64];
+                            let _ = conn.read(&mut buf);
+                            drop(conn);
+                        }
+                        Err(_) => std::thread::sleep(Duration::from_millis(1)),
+                    }
+                }
+            })
+        };
+
+        let interval = Duration::from_millis(5);
+        // Anchor captured once, before the "connection" does any work —
+        // the contract loadgen's threads follow.
+        let anchor = Instant::now();
+        let schedule = OpenLoopSchedule::new(anchor, interval);
+        let mut client = RetryingClient::new(
+            &addr,
+            Duration::from_secs(2),
+            RetryPolicy {
+                max_attempts: 2,
+                base_delay: Duration::from_millis(1),
+                ..RetryPolicy::default()
+            },
+        );
+        let requests = 4usize;
+        let mut failures = 0usize;
+        let mut intended_times = Vec::with_capacity(requests);
+        for req in 0..requests {
+            let begin = schedule.wait_until_intended(req);
+            intended_times.push(begin);
+            if client.post_json("/v1/classify", "{}").is_err() {
+                failures += 1;
+            }
+        }
+        stop.store(true, Ordering::SeqCst);
+        server.join().unwrap();
+
+        assert!(failures > 0, "the flaky listener must fail requests");
+        // The grid is untouched by those failures: every recorded intended
+        // time still sits exactly req·interval past the shared anchor.
+        for (req, &t) in intended_times.iter().enumerate() {
+            assert_eq!(
+                t - anchor,
+                Duration::from_millis(5 * req as u64),
+                "request {req} re-anchored the schedule"
+            );
+            assert_eq!(t, schedule.intended(req));
+        }
     }
 }

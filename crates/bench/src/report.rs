@@ -1,4 +1,4 @@
-//! Markdown/CSV reporting helpers shared by the experiment binaries.
+//! Markdown/CSV reporting helpers shared by the artifacts and binaries.
 
 use std::fs;
 use std::io;

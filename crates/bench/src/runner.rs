@@ -1,4 +1,4 @@
-//! Shared helpers for the experiment binaries: CLI parsing, run-lifecycle
+//! Shared helpers for the binaries and artifacts: CLI parsing, run-lifecycle
 //! observability ([`RunContext`]) and crossbar-accuracy evaluation of
 //! trained scenarios.
 
@@ -21,11 +21,11 @@ pub const SIZES: [usize; 3] = [16, 32, 64];
 pub enum Arity {
     /// A boolean switch (`--verify`).
     Flag,
-    /// Takes one value (`--panel a`).
+    /// Takes one value (`--only table1`).
     Value,
 }
 
-/// The CLI flags shared by every experiment binary, plus whatever
+/// The CLI flags shared by every binary, plus whatever
 /// binary-specific flags the caller declared.
 ///
 /// Common flags: `--full` / `--smoke` / `--quick` (scale preset),
@@ -134,7 +134,7 @@ impl CommonArgs {
     }
 }
 
-/// Run lifecycle for an experiment binary: parses the CLI, switches the
+/// Run lifecycle for a binary: parses the CLI, switches the
 /// live stderr reporter on (unless `--quiet`), accumulates manifest config,
 /// and on [`RunContext::finish`] prints the phase-timing table and writes
 /// the JSONL trace (if `--trace-out` was given).
@@ -332,10 +332,10 @@ mod tests {
 
     #[test]
     fn try_parse_extras_value_and_flag() {
-        let argv = ["--panel", "b", "--verify"];
-        let extra = [("--panel", Arity::Value), ("--verify", Arity::Flag)];
+        let argv = ["--only", "b", "--verify"];
+        let extra = [("--only", Arity::Value), ("--verify", Arity::Flag)];
         let args = CommonArgs::try_parse(argv.iter().map(|s| s.to_string()), &extra).unwrap();
-        assert_eq!(args.get("--panel"), Some("b"));
+        assert_eq!(args.get("--only"), Some("b"));
         assert!(args.is_set("--verify"));
         assert!(!args.is_set("--other"));
     }
@@ -354,9 +354,9 @@ mod tests {
     fn try_parse_rejects_missing_value() {
         let err = CommonArgs::try_parse(["--seed".to_string()], &[]).unwrap_err();
         assert!(err.contains("--seed"), "{err}");
-        let extra = [("--panel", Arity::Value)];
-        let err = CommonArgs::try_parse(["--panel".to_string()], &extra).unwrap_err();
-        assert!(err.contains("--panel"), "{err}");
+        let extra = [("--only", Arity::Value)];
+        let err = CommonArgs::try_parse(["--only".to_string()], &extra).unwrap_err();
+        assert!(err.contains("--only"), "{err}");
     }
 
     #[test]

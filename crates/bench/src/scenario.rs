@@ -104,9 +104,6 @@ pub struct Scenario {
     pub scale: ExperimentScale,
     /// Master seed.
     pub seed: u64,
-    /// Overrides the dataset noise level (task difficulty); `None` keeps the
-    /// dataset default.
-    pub noise_std: Option<f32>,
 }
 
 impl Scenario {
@@ -125,7 +122,6 @@ impl Scenario {
             segment: 32,
             scale,
             seed: 42,
-            noise_std: None,
         }
     }
 
@@ -143,13 +139,10 @@ impl Scenario {
 
     /// Generates the scenario's dataset (deterministic).
     pub fn dataset(&self) -> Dataset {
-        let mut base = match self.dataset {
+        let base = match self.dataset {
             DatasetKind::Cifar10Like => CifarLikeConfig::cifar10_like(),
             DatasetKind::Cifar100Like => CifarLikeConfig::cifar100_like(),
         };
-        if let Some(noise) = self.noise_std {
-            base = base.noise_std(noise);
-        }
         // 100-class runs need more examples per class to train at all; scale
         // both splits up rather than starving them (10 images/class at the
         // quick scale would be meaningless).
@@ -261,7 +254,7 @@ impl Scenario {
             _ => "",
         };
         format!(
-            "{prune_version}{}_{}_{}_s{:.3}_seg{}_w{:.3}_n{}_e{}_b{}_lr{:.4}_seed{}_noise{:?}",
+            "{prune_version}{}_{}_{}_s{:.3}_seg{}_w{:.3}_n{}_e{}_b{}_lr{:.4}_seed{}",
             self.variant,
             self.dataset.name().replace('-', ""),
             self.method.to_string().replace('/', ""),
@@ -273,12 +266,11 @@ impl Scenario {
             self.scale.batch_size,
             recipe.sgd.lr,
             self.seed,
-            self.noise_std,
         )
     }
 
     /// Like [`Scenario::train_model`] but backed by a disk cache under
-    /// `results/cache/` so the many experiment binaries that share scenarios
+    /// `results/cache/` so the many artifacts that share scenarios
     /// (e.g. the unpruned VGG11 baseline) train each model only once.
     ///
     /// Hits and misses are counted in the `bench/scenario_cache_hits` /

@@ -11,8 +11,9 @@
 //!
 //! This is orders of magnitude slower than the folded model (a circuit
 //! solve per tile *per input*), so it is a validation and research tool,
-//! not an inference path: ablation A6 shows the folded model stays within
-//! 1 % of it.
+//! not an inference path: the `folded_model_tracks_exact_inference` test
+//! checks the folded model against it. (Ablation A6 measures the same
+//! folding error per tile, against `NonIdealSolver::column_currents`.)
 
 use crate::partition::partition;
 use crate::pipeline::{MapConfig, MapError};

@@ -343,26 +343,12 @@ pub fn classify_batch(model: &mut Sequential, input_shape: &[usize], batch: Vec<
     }
 }
 
-/// Inference worker loop: pulls micro-batches until the queue closes.
-/// Each worker owns its own [`TierModels`] clone, so multiple loops can
-/// run concurrently without locking the networks. A pulled batch may mix
-/// fidelity tiers; it is split into per-tier sub-batches, each sharing one
-/// forward pass through that tier's weight set.
-pub fn inference_loop(
-    mut models: TierModels,
-    input_shape: &[usize],
-    queue: &BatchQueue,
-    max_batch: usize,
-    deadline: Duration,
-) {
-    while let Some(batch) = queue.next_batch(max_batch, deadline) {
-        run_tier_batches(&mut models, input_shape, batch);
-    }
-}
-
 /// Splits one pulled batch into per-tier sub-batches and runs each through
-/// the matching model. Shared between [`inference_loop`] and the hot-swap
-/// worker loop in [`crate::lifecycle`].
+/// the matching model, so a batch that mixes fidelity tiers shares one
+/// forward pass per tier. The serving workers
+/// ([`crate::lifecycle::replica_inference_loop`]) call it once per pulled
+/// batch; each owns its own [`TierModels`] clone, so they run concurrently
+/// without locking the networks.
 pub fn run_tier_batches(models: &mut TierModels, input_shape: &[usize], batch: Vec<Pending>) {
     let mut groups: [Vec<Pending>; 3] = [Vec::new(), Vec::new(), Vec::new()];
     for pending in batch {
@@ -553,9 +539,11 @@ mod tests {
         let queue = BatchQueue::new(16);
         let worker = {
             let queue = Arc::clone(&queue);
-            let models = models.clone();
+            let mut models = models.clone();
             thread::spawn(move || {
-                inference_loop(models, &[1, 8, 8], &queue, 16, Duration::from_millis(20));
+                while let Some(batch) = queue.next_batch(16, Duration::from_millis(20)) {
+                    run_tier_batches(&mut models, &[1, 8, 8], batch);
+                }
             })
         };
         // 2 exact + 2 ideal requests land in one pulled batch.
@@ -599,14 +587,16 @@ mod tests {
 
     #[test]
     fn unavailable_tier_fails_the_request_instead_of_hanging() {
-        let models = TierModels::exact_only(tiny_model());
+        let mut models = TierModels::exact_only(tiny_model());
         let queue = BatchQueue::new(4);
         let slot = ResponseSlot::new();
         queue
             .submit(Pending::for_tier(Tier::Ideal, image(0), Arc::clone(&slot)))
             .unwrap();
         queue.close();
-        inference_loop(models, &[1, 8, 8], &queue, 4, Duration::from_millis(1));
+        while let Some(batch) = queue.next_batch(4, Duration::from_millis(1)) {
+            run_tier_batches(&mut models, &[1, 8, 8], batch);
+        }
         let err = slot
             .wait(Duration::from_secs(1))
             .expect("filled")

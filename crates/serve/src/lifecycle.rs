@@ -2,7 +2,7 @@
 //! and the re-program → re-map → hot-swap mitigation ladder.
 //!
 //! The serving process holds its networks in a versioned [`ModelSlot`].
-//! Inference workers run [`hot_swap_inference_loop`]: each owns a private
+//! Inference workers run [`replica_inference_loop`]: each owns a private
 //! [`TierModels`] clone and re-clones from the slot *between* micro-batches
 //! whenever the published version moves — an in-flight batch always finishes
 //! on the weights it started with, so a swap can never fail a request.
@@ -261,22 +261,11 @@ impl ModelSlot {
     }
 }
 
-/// Inference worker loop with hot-swap support: like
-/// [`crate::batcher::inference_loop`] but re-clones from the [`ModelSlot`]
-/// between micro-batches whenever the published version moves. In-flight
-/// batches always complete on the clone they started with, which is what
-/// makes artifact swaps lossless.
-pub fn hot_swap_inference_loop(
-    slot: &ModelSlot,
-    queue: &BatchQueue,
-    max_batch: usize,
-    deadline: Duration,
-) {
-    replica_inference_loop(slot, queue, max_batch, deadline, None);
-}
-
-/// [`hot_swap_inference_loop`] for one replica of the serving pool: same
-/// semantics, plus every request it executes is counted on that replica's
+/// Inference worker loop of one replica of the serving pool, with hot-swap
+/// support: it re-clones from the [`ModelSlot`] between micro-batches
+/// whenever the published version moves. In-flight batches always complete
+/// on the clone they started with, which is what makes artifact swaps
+/// lossless. Every request it executes is counted on that replica's
 /// `serve/replica_requests/<id>` series so replica fairness is observable
 /// (and testable) from `/metrics`.
 pub fn replica_inference_loop(
@@ -284,12 +273,12 @@ pub fn replica_inference_loop(
     queue: &BatchQueue,
     max_batch: usize,
     deadline: Duration,
-    replica: Option<usize>,
+    replica: usize,
 ) {
     // Reloads are validated shape-compatible, so the input shape is stable
     // for the life of the process.
     let input_shape = slot.meta().input_shape.clone();
-    let counter = replica.map(names::serve_replica_requests);
+    let counter = names::serve_replica_requests(replica);
     let (mut version, mut models) = slot.snapshot();
     while let Some(batch) = queue.next_batch(max_batch, deadline) {
         if slot.version() != version {
@@ -297,9 +286,7 @@ pub fn replica_inference_loop(
             version = v;
             models = m;
         }
-        if let Some(name) = &counter {
-            metrics::counter_add(name, batch.len() as u64);
-        }
+        metrics::counter_add(&counter, batch.len() as u64);
         run_tier_batches(&mut models, &input_shape, batch);
     }
 }

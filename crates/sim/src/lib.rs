@@ -48,7 +48,6 @@
 //! # }
 //! ```
 
-pub mod analytic;
 pub mod cache;
 pub mod conductance;
 pub mod drift;

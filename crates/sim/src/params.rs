@@ -23,7 +23,7 @@ impl std::error::Error for InvalidParams {}
 /// the range used by RxNN-family evaluations), per-segment wire resistances
 /// of 25 Ω (rows) and 10 Ω (columns), a 300 Ω driver, a 150 Ω sense path
 /// and 10 % Gaussian programming variation. These values were calibrated
-/// (see `DESIGN.md` and the `calibrate` bin in `xbar-bench`) so that the
+/// (see "Calibration" in `DESIGN.md`) so that the
 /// mean non-ideality factor lands near 0.017 at 16×16 and 0.12 at 64×64 —
 /// the regime in which the paper's accuracy-vs-crossbar-size trends
 /// reproduce: the unpruned width-scaled VGG11 loses ~26 pp at 64×64
